@@ -22,14 +22,17 @@
 //! mobility layer turns them into the virtual counterpart's buffer, while the
 //! plain static broker simply drops them (which is exactly the naive
 //! behaviour whose notification loss Figure 2 of the paper illustrates).
+//!
+//! Local delivery answers from an indexed local-subscription table and
+//! lists deliveries in a contract order; see the crate docs.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
 use rebeca_filter::{Filter, Notification};
 use rebeca_obs::TraceContext;
-use rebeca_routing::{AdvertisementTable, RoutingEngine, RoutingStrategyKind};
+use rebeca_routing::{AdvertisementTable, RoutingEngine, RoutingStrategyKind, RoutingTable};
 use rebeca_sim::NodeId;
 
 use crate::ids::ClientId;
@@ -50,12 +53,17 @@ pub enum BrokerRole {
 }
 
 /// Bookkeeping for one local client of a border broker.
+///
+/// The client's subscriptions are not part of the record: they live in the
+/// broker's local-subscription table (see the [crate docs](crate)) and are
+/// read through [`BrokerCore::local_subscriptions`] and
+/// [`BrokerCore::has_local_subscription`].  Records are handed out
+/// read-only; attach, detach and the subscription methods of
+/// [`BrokerCore`] are the only writers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClientRecord {
     /// The simulation node the client is reachable at.
     pub node: NodeId,
-    /// The client's active subscriptions at this broker.
-    pub subscriptions: Vec<Filter>,
     /// Whether the client is currently connected (reachable).
     pub connected: bool,
 }
@@ -89,6 +97,12 @@ pub struct BrokerCore {
     role: BrokerRole,
     broker_links: Vec<NodeId>,
     clients: BTreeMap<ClientId, ClientRecord>,
+    /// `(node, client)` for every record, so a message's source node finds
+    /// its client without a scan; ordered, so two clients behind one node
+    /// resolve to the lower id.
+    clients_by_node: BTreeSet<(NodeId, ClientId)>,
+    /// The subscriptions of local clients (set semantics per client).
+    local: RoutingTable<ClientId>,
     engine: RoutingEngine<NodeId>,
     ads: AdvertisementTable<NodeId>,
     seq: SequenceRegistry,
@@ -127,6 +141,8 @@ impl BrokerCore {
             role,
             broker_links,
             clients: BTreeMap::new(),
+            clients_by_node: BTreeSet::new(),
+            local: RoutingTable::new(),
             engine: RoutingEngine::new(strategy),
             ads: AdvertisementTable::new(),
             seq: SequenceRegistry::new(),
@@ -197,11 +213,6 @@ impl BrokerCore {
         self.clients.get(&client)
     }
 
-    /// Mutable record of a local client.
-    pub fn client_mut(&mut self, client: ClientId) -> Option<&mut ClientRecord> {
-        self.clients.get_mut(&client)
-    }
-
     /// All local clients.
     pub fn clients(&self) -> impl Iterator<Item = (ClientId, &ClientRecord)> {
         self.clients.iter().map(|(id, r)| (*id, r))
@@ -209,17 +220,99 @@ impl BrokerCore {
 
     /// Looks a local client up by its node id.
     pub fn client_by_node(&self, node: NodeId) -> Option<ClientId> {
-        self.clients
-            .iter()
-            .find(|(_, r)| r.node == node)
-            .map(|(id, _)| *id)
+        self.clients_by_node
+            .range((node, ClientId::new(0))..)
+            .next()
+            .filter(|(n, _)| *n == node)
+            .map(|(_, client)| *client)
     }
 
     /// Removes a local client entirely (garbage collection after relocation),
-    /// returning its record.
+    /// returning its record.  Its local subscriptions and sequence state go
+    /// with it; routing entries are the caller's business.
     pub fn remove_client(&mut self, client: ClientId) -> Option<ClientRecord> {
+        let record = self.clients.remove(&client)?;
+        self.clients_by_node.remove(&(record.node, client));
+        self.local.remove_destination(&client);
         self.seq.remove_client(client);
-        self.clients.remove(&client)
+        Some(record)
+    }
+
+    // ------------------------------------------------------------------
+    // Local subscriptions
+    // ------------------------------------------------------------------
+
+    /// The client's subscriptions at this broker, in the order they were
+    /// subscribed — the order local deliveries to the client are listed in
+    /// (see the [crate docs](crate)).
+    pub fn local_subscriptions(&self, client: ClientId) -> Vec<&Filter> {
+        self.local.filters_for(&client)
+    }
+
+    /// `true` when the client holds exactly this filter here.
+    pub fn has_local_subscription(&self, client: ClientId, filter: &Filter) -> bool {
+        self.local.contains_entry(filter, &client)
+    }
+
+    /// Adds `filter` to the local-subscription table as the last
+    /// subscription of `client`, which the caller has found attached.  Set
+    /// semantics: a filter the client already holds is left where it is.
+    fn insert_local(&mut self, client: ClientId, filter: &Filter) {
+        if !self.has_local_subscription(client, filter) {
+            self.local.insert(filter.clone(), client);
+        }
+    }
+
+    /// Restores a subscription of an attached client without propagating
+    /// it (crash recovery re-creates what the log says was there): the
+    /// client holds `filter` afterwards — appended to its subscriptions
+    /// unless already held — and the routing table holds an entry
+    /// `(filter, client's node)`, added only when none exists.  Does
+    /// nothing for a client that is not attached.
+    pub fn subscribe_local(&mut self, client: ClientId, filter: Filter) {
+        let Some(node) = self.clients.get(&client).map(|r| r.node) else {
+            return;
+        };
+        self.insert_local(client, &filter);
+        if !self.engine.table().contains_entry(&filter, &node) {
+            self.engine.table_mut().insert(filter, node);
+        }
+    }
+
+    /// Drops a subscription of a local client without propagating
+    /// anything (garbage collection after a relocation or an expired
+    /// lease): removes `filter` from the client's subscriptions and one
+    /// routing entry `(filter, client's node)`.  The sequence state stays;
+    /// see [`SequenceRegistry::remove`].  Does nothing for a client that
+    /// is not attached.
+    pub fn unsubscribe_local(&mut self, client: ClientId, filter: &Filter) {
+        let Some(node) = self.clients.get(&client).map(|r| r.node) else {
+            return;
+        };
+        self.engine.table_mut().remove(filter, &node);
+        self.local.remove(filter, &client);
+    }
+
+    /// [`BrokerCore::handle_subscribe`] without the propagation decision,
+    /// for protocols that carry their own control message from hop to hop
+    /// (location-dependent subscriptions): adds the routing entry
+    /// `(filter, from)` and, when `from` is a local client's node, appends
+    /// `filter` to that client's subscriptions unless already held.
+    pub fn install_subscription(&mut self, filter: Filter, from: NodeId) {
+        if let Some(client) = self.client_by_node(from) {
+            self.insert_local(client, &filter);
+        }
+        self.engine.table_mut().insert(filter, from);
+    }
+
+    /// The reverse of [`BrokerCore::install_subscription`]: removes one
+    /// routing entry `(filter, from)` and, when `from` is a local client's
+    /// node, the filter from that client's subscriptions.
+    pub fn retract_subscription(&mut self, filter: &Filter, from: NodeId) {
+        if let Some(client) = self.client_by_node(from) {
+            self.local.remove(filter, &client);
+        }
+        self.engine.table_mut().remove(filter, &from);
     }
 
     /// Deliveries to disconnected local clients that accumulated since the
@@ -315,13 +408,14 @@ impl BrokerCore {
 
     /// A client attaches at this (border) broker.
     pub fn handle_attach(&mut self, client: ClientId, node: NodeId) -> Outgoing {
-        let record = self.clients.entry(client).or_insert(ClientRecord {
+        let record = ClientRecord {
             node,
-            subscriptions: Vec::new(),
             connected: true,
-        });
-        record.node = node;
-        record.connected = true;
+        };
+        if let Some(previous) = self.clients.insert(client, record) {
+            self.clients_by_node.remove(&(previous.node, client));
+        }
+        self.clients_by_node.insert((node, client));
         Vec::new()
     }
 
@@ -343,15 +437,10 @@ impl BrokerCore {
         from: NodeId,
     ) -> Outgoing {
         if let Some(client) = self.client_by_node(from) {
-            if let Some(record) = self.clients.get_mut(&client) {
-                if !record.subscriptions.contains(&filter) {
-                    record.subscriptions.push(filter.clone());
-                }
-            }
+            self.insert_local(client, &filter);
         }
-        let links = self.broker_links.clone();
         self.engine
-            .handle_subscribe(filter, from, &links)
+            .handle_subscribe(filter, from, &self.broker_links)
             .into_iter()
             .map(|(link, forward)| {
                 (
@@ -373,13 +462,10 @@ impl BrokerCore {
         from: NodeId,
     ) -> Outgoing {
         if let Some(client) = self.client_by_node(from) {
-            if let Some(record) = self.clients.get_mut(&client) {
-                record.subscriptions.retain(|f| f != &filter);
-            }
+            self.local.remove(&filter, &client);
         }
-        let links = self.broker_links.clone();
         self.engine
-            .handle_unsubscribe(&filter, &from, &links)
+            .handle_unsubscribe(&filter, &from, &self.broker_links)
             .forwards
             .into_iter()
             .map(|(link, forward)| {
@@ -519,12 +605,11 @@ impl BrokerCore {
 
         // Broker-to-broker forwarding, via the routing engine's visitor walk
         // (skips the matching-key and cloned-destination vectors).
-        let all_links = self.broker_links.clone();
         let broker_links = &self.broker_links;
         self.engine.for_each_route(
             &envelope.notification,
             exclude.as_ref(),
-            &all_links,
+            broker_links,
             |dest| {
                 if broker_links.contains(dest) {
                     out.push((*dest, Message::Notification(envelope.clone())));
@@ -560,13 +645,12 @@ impl BrokerCore {
 
         // Each forwarded copy gets its own parent, so destinations are
         // collected first (the engine walk borrows the routing state).
-        let all_links = self.broker_links.clone();
         let broker_links = &self.broker_links;
         let mut dests: Vec<NodeId> = Vec::new();
         self.engine.for_each_route(
             &envelope.notification,
             exclude.as_ref(),
-            &all_links,
+            broker_links,
             |dest| {
                 if broker_links.contains(dest) {
                     dests.push(*dest);
@@ -628,10 +712,10 @@ impl BrokerCore {
             }
             return out;
         }
-        let all_links = self.broker_links.clone();
         let destinations = {
             let ns: Vec<&Notification> = envelopes.iter().map(|e| &e.notification).collect();
-            self.engine.route_batch(&ns, exclude.as_ref(), &all_links)
+            self.engine
+                .route_batch(&ns, exclude.as_ref(), &self.broker_links)
         };
         let mut per_dest: BTreeMap<NodeId, Vec<Envelope>> = BTreeMap::new();
         for (envelope, dests) in envelopes.iter().zip(&destinations) {
@@ -662,27 +746,38 @@ impl BrokerCore {
 
     /// Delivers an envelope (with per-`(client, filter)` sequence
     /// annotation) to matching local clients, parking deliveries addressed
-    /// to disconnected ones.
+    /// to disconnected ones.  One counting match over the
+    /// local-subscription table; the matched entries are then put into the
+    /// contract order of the [crate docs](crate) — ascending client, then
+    /// subscription order — before sequence numbers are assigned.
     fn deliver_locally(
         &mut self,
         envelope: &Envelope,
         exclude: Option<NodeId>,
         out: &mut Outgoing,
     ) {
-        let matches: Vec<(ClientId, NodeId, bool, Filter)> = self
-            .clients
-            .iter()
-            .filter(|(_, record)| Some(record.node) != exclude)
-            .flat_map(|(client, record)| {
-                record
-                    .subscriptions
-                    .iter()
-                    .filter(|f| f.matches(&envelope.notification))
-                    .map(|f| (*client, record.node, record.connected, f.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (client, node, connected, filter) in matches {
+        if self.local.is_empty() {
+            return; // a transit broker: no counting match for nobody
+        }
+        let clients = &self.clients;
+        let mut matches: Vec<(ClientId, u64, NodeId, bool, Filter)> = Vec::new();
+        self.local
+            .for_each_matching_entry(&envelope.notification, |client, entry, filter| {
+                let record = clients
+                    .get(client)
+                    .expect("local subscriptions belong to attached clients");
+                if Some(record.node) != exclude {
+                    matches.push((
+                        *client,
+                        entry,
+                        record.node,
+                        record.connected,
+                        filter.clone(),
+                    ));
+                }
+            });
+        matches.sort_unstable_by_key(|&(client, entry, ..)| (client, entry));
+        for (client, _, node, connected, filter) in matches {
             let seq = self.seq.next(client, &filter);
             let delivery = Delivery {
                 subscriber: client,
@@ -785,7 +880,7 @@ mod tests {
         assert!(out
             .iter()
             .all(|(_, m)| matches!(m, Message::Subscribe { .. })));
-        assert_eq!(b.client(ClientId::new(1)).unwrap().subscriptions.len(), 1);
+        assert_eq!(b.local_subscriptions(ClientId::new(1)), vec![&parking()]);
     }
 
     #[test]
@@ -932,7 +1027,7 @@ mod tests {
         b.handle_subscribe(ClientId::new(1), parking(), NodeId(100));
         let out = b.handle_unsubscribe(ClientId::new(1), parking(), NodeId(100));
         assert_eq!(out.len(), 2);
-        assert!(b.client(ClientId::new(1)).unwrap().subscriptions.is_empty());
+        assert!(b.local_subscriptions(ClientId::new(1)).is_empty());
         // Publishing afterwards delivers nothing.
         b.handle_attach(ClientId::new(2), NodeId(101));
         assert!(b

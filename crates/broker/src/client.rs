@@ -7,7 +7,7 @@
 //! reads the last received sequence number per subscription from this log
 //! when re-subscribing at a new border broker.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -43,12 +43,22 @@ pub enum DeliveryViolation {
     },
 }
 
+/// What the log tracks per subscription.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+struct FilterStream {
+    /// Highest border-broker sequence number received.
+    last_seq: u64,
+    /// Publications already delivered for the subscription.  Ordered, not
+    /// hashed: logs are compared byte for byte through their `Debug` form,
+    /// which a per-instance hash seed would scramble.
+    seen: BTreeSet<(ClientId, u64)>,
+}
+
 /// The delivery log of one consumer.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ConsumerLog {
     deliveries: Vec<Delivery>,
-    last_seq: BTreeMap<Filter, u64>,
-    seen_publications: BTreeMap<Filter, Vec<(ClientId, u64)>>,
+    streams: BTreeMap<Filter, FilterStream>,
     last_publisher_seq: BTreeMap<ClientId, u64>,
     violations: Vec<DeliveryViolation>,
 }
@@ -60,37 +70,32 @@ impl ConsumerLog {
     }
 
     /// Records a delivery, checking for duplicates and sender-FIFO
-    /// violations on the fly.
+    /// violations on the fly, without scanning the log.
     pub fn record(&mut self, delivery: Delivery) {
-        let publication = (delivery.envelope.publisher, delivery.envelope.publisher_seq);
-        let seen = self
-            .seen_publications
-            .entry(delivery.filter.clone())
-            .or_default();
-        if seen.contains(&publication) {
+        let publisher = delivery.envelope.publisher;
+        let publisher_seq = delivery.envelope.publisher_seq;
+        let stream = match self.streams.get_mut(&delivery.filter) {
+            Some(stream) => stream,
+            None => self.streams.entry(delivery.filter.clone()).or_default(),
+        };
+        if !stream.seen.insert((publisher, publisher_seq)) {
             self.violations.push(DeliveryViolation::Duplicate {
                 filter: delivery.filter.clone(),
-                publisher: publication.0,
-                publisher_seq: publication.1,
+                publisher,
+                publisher_seq,
             });
         }
-        seen.push(publication);
+        stream.last_seq = stream.last_seq.max(delivery.seq);
 
-        let last = self.last_seq.entry(delivery.filter.clone()).or_insert(0);
-        if delivery.seq > *last {
-            *last = delivery.seq;
-        }
-
-        let publisher = delivery.envelope.publisher;
         let last_pub = self.last_publisher_seq.entry(publisher).or_insert(0);
-        if delivery.envelope.publisher_seq < *last_pub {
+        if publisher_seq < *last_pub {
             self.violations.push(DeliveryViolation::FifoViolation {
                 publisher,
                 earlier: *last_pub,
-                later: delivery.envelope.publisher_seq,
+                later: publisher_seq,
             });
         } else {
-            *last_pub = delivery.envelope.publisher_seq;
+            *last_pub = publisher_seq;
         }
 
         self.deliveries.push(delivery);
@@ -115,7 +120,7 @@ impl ConsumerLog {
     /// nothing arrived yet) — the number echoed in a re-subscription after
     /// relocation.
     pub fn last_seq(&self, filter: &Filter) -> u64 {
-        self.last_seq.get(filter).copied().unwrap_or(0)
+        self.streams.get(filter).map_or(0, |s| s.last_seq)
     }
 
     /// A copy of the log with the trace context stripped from every

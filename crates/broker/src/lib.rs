@@ -21,6 +21,27 @@
 //!   the paper's quality-of-service requirements (completeness, no
 //!   duplicates, sender-FIFO order).
 //!
+//! # Local delivery and its ordering contract
+//!
+//! The subscriptions of local clients live in one **local-subscription
+//! table**, a [`RoutingTable`](rebeca_routing::RoutingTable) keyed by
+//! [`ClientId`]: the same subgrouped counting index the forwarding side
+//! uses, one index key per *distinct* local filter.  A publication costs one
+//! counting match over that table plus work proportional to the
+//! subscriptions that actually match — not a
+//! [`Filter::matches`](rebeca_filter::Filter::matches) call per subscription
+//! of every attached client.
+//!
+//! The order of local deliveries is a contract, because the simulator's
+//! event order (and with it every byte-identical delivery log) follows the
+//! order of [`Outgoing`]: deliveries are listed in **ascending
+//! [`ClientId`], and within one client in the order its filters were
+//! subscribed** (a filter that is removed and subscribed again moves to the
+//! end).  The table's entry ids are monotonic in insertion order, so
+//! sorting the matched entries by `(ClientId, entry id)` reproduces exactly
+//! that order; sequence numbers, the parked list and the `deliver` trace
+//! spans are assigned while walking it.
+//!
 //! The mobility-aware broker that extends [`BrokerCore`] with the relocation
 //! protocol (Section 4) and location-dependent subscriptions (Section 5)
 //! lives in the `rebeca-core` crate.

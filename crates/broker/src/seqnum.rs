@@ -17,9 +17,14 @@ use crate::ids::ClientId;
 use crate::message::Delivery;
 
 /// Assigns consecutive sequence numbers per `(client, filter)` stream.
+///
+/// Streams are nested per client, so a lookup borrows the filter (it is
+/// cloned only when a stream is first created) and dropping a client drops
+/// one sub-map.  A client with no stream has no sub-map, which keeps the
+/// derived equality exact.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SequenceRegistry {
-    next: BTreeMap<(ClientId, Filter), u64>,
+    next: BTreeMap<ClientId, BTreeMap<Filter, u64>>,
 }
 
 impl SequenceRegistry {
@@ -31,16 +36,25 @@ impl SequenceRegistry {
     /// Returns the next sequence number for the stream and advances it.
     /// The first number of a fresh stream is 1.
     pub fn next(&mut self, client: ClientId, filter: &Filter) -> u64 {
-        let counter = self.next.entry((client, filter.clone())).or_insert(1);
-        let seq = *counter;
-        *counter += 1;
-        seq
+        let streams = self.next.entry(client).or_default();
+        match streams.get_mut(filter) {
+            Some(counter) => {
+                let seq = *counter;
+                *counter += 1;
+                seq
+            }
+            None => {
+                streams.insert(filter.clone(), 2);
+                1
+            }
+        }
     }
 
     /// The sequence number that will be assigned next (without advancing).
     pub fn peek(&self, client: ClientId, filter: &Filter) -> u64 {
         self.next
-            .get(&(client, filter.clone()))
+            .get(&client)
+            .and_then(|streams| streams.get(filter))
             .copied()
             .unwrap_or(1)
     }
@@ -55,28 +69,36 @@ impl SequenceRegistry {
     /// after relocation (it continues numbering where the replayed buffer
     /// ended).  Never moves the counter backwards.
     pub fn fast_forward(&mut self, client: ClientId, filter: &Filter, next_seq: u64) {
-        let counter = self.next.entry((client, filter.clone())).or_insert(1);
-        if next_seq > *counter {
-            *counter = next_seq;
+        let streams = self.next.entry(client).or_default();
+        match streams.get_mut(filter) {
+            Some(counter) => *counter = (*counter).max(next_seq),
+            None => {
+                streams.insert(filter.clone(), next_seq.max(1));
+            }
         }
     }
 
     /// Removes the stream state for a client's filter (garbage collection at
     /// the old border broker).  Returns `true` when state existed.
     pub fn remove(&mut self, client: ClientId, filter: &Filter) -> bool {
-        self.next.remove(&(client, filter.clone())).is_some()
+        let Some(streams) = self.next.get_mut(&client) else {
+            return false;
+        };
+        let removed = streams.remove(filter).is_some();
+        if streams.is_empty() {
+            self.next.remove(&client);
+        }
+        removed
     }
 
     /// Removes every stream belonging to the client.
     pub fn remove_client(&mut self, client: ClientId) -> usize {
-        let before = self.next.len();
-        self.next.retain(|(c, _), _| *c != client);
-        before - self.next.len()
+        self.next.remove(&client).map_or(0, |streams| streams.len())
     }
 
     /// Number of tracked streams.
     pub fn len(&self) -> usize {
-        self.next.len()
+        self.next.values().map(BTreeMap::len).sum()
     }
 
     /// `true` when no stream is tracked.

@@ -962,29 +962,12 @@ impl MobileBroker {
     /// subscription at this hop and returns the old filter, if any.
     fn install_loc_filter(&mut self, sub_id: SubscriptionId, state: LocSubState) -> Option<Filter> {
         let previous = self.loc_subs.insert(sub_id, state.clone());
-        let towards = state.towards_consumer;
         if let Some(prev) = &previous {
             self.core
-                .engine_mut()
-                .table_mut()
-                .remove(&prev.current_filter, &prev.towards_consumer);
-            if let Some(client) = self.core.client_by_node(prev.towards_consumer) {
-                if let Some(record) = self.core.client_mut(client) {
-                    record.subscriptions.retain(|f| f != &prev.current_filter);
-                }
-            }
+                .retract_subscription(&prev.current_filter, prev.towards_consumer);
         }
         self.core
-            .engine_mut()
-            .table_mut()
-            .insert(state.current_filter.clone(), towards);
-        if let Some(client) = self.core.client_by_node(towards) {
-            if let Some(record) = self.core.client_mut(client) {
-                if !record.subscriptions.contains(&state.current_filter) {
-                    record.subscriptions.push(state.current_filter.clone());
-                }
-            }
-        }
+            .install_subscription(state.current_filter, state.towards_consumer);
         previous.map(|p| p.current_filter)
     }
 
@@ -1055,14 +1038,7 @@ impl MobileBroker {
     ) -> Vec<(NodeId, Message)> {
         if let Some(state) = self.loc_subs.remove(&sub_id) {
             self.core
-                .engine_mut()
-                .table_mut()
-                .remove(&state.current_filter, &state.towards_consumer);
-            if let Some(client) = self.core.client_by_node(state.towards_consumer) {
-                if let Some(record) = self.core.client_mut(client) {
-                    record.subscriptions.retain(|f| f != &state.current_filter);
-                }
-            }
+                .retract_subscription(&state.current_filter, state.towards_consumer);
         }
         self.core
             .broker_links_except(from)

@@ -213,21 +213,8 @@ impl RelocationMachine {
             // counterpart after the restart.
             if snap.client_node != NodeId(usize::MAX) {
                 core.handle_attach(snap.client, snap.client_node);
-                if let Some(record) = core.client_mut(snap.client) {
-                    record.connected = false;
-                    if !record.subscriptions.contains(&snap.filter) {
-                        record.subscriptions.push(snap.filter.clone());
-                    }
-                }
-                if !core
-                    .engine()
-                    .table()
-                    .contains_entry(&snap.filter, &snap.client_node)
-                {
-                    core.engine_mut()
-                        .table_mut()
-                        .insert(snap.filter.clone(), snap.client_node);
-                }
+                core.handle_detach(snap.client);
+                core.subscribe_local(snap.client, snap.filter.clone());
             }
             let next_seq = snap
                 .next_seq
@@ -270,20 +257,7 @@ impl RelocationMachine {
             // are not persisted (see the crate docs on scope).
             if holding.client_node != NodeId(usize::MAX) {
                 core.handle_attach(holding.client, holding.client_node);
-                if let Some(record) = core.client_mut(holding.client) {
-                    if !record.subscriptions.contains(&holding.filter) {
-                        record.subscriptions.push(holding.filter.clone());
-                    }
-                }
-                if !core
-                    .engine()
-                    .table()
-                    .contains_entry(&holding.filter, &holding.client_node)
-                {
-                    core.engine_mut()
-                        .table_mut()
-                        .insert(holding.filter.clone(), holding.client_node);
-                }
+                core.subscribe_local(holding.client, holding.filter.clone());
             }
             let tag = machine.next_timeout_tag;
             machine.next_timeout_tag += 1;
@@ -379,15 +353,15 @@ impl RelocationMachine {
             return;
         };
         let node = record.node;
-        for filter in record.subscriptions.clone() {
+        for filter in core.local_subscriptions(client) {
             let key = (client, filter.clone());
             let state = self.streams.entry(key).or_default();
             if state.counterpart.is_none() {
-                let next_seq = core.sequences().peek(client, &filter);
+                let next_seq = core.sequences().peek(client, filter);
                 self.log.append(&WalRecord::StreamOpen {
                     client,
                     client_node: node,
-                    filter,
+                    filter: filter.clone(),
                     next_seq,
                     opened_at: now_micros,
                 });
@@ -485,20 +459,7 @@ impl RelocationMachine {
                 .and_then(|s| s.counterpart.take())
                 .map(|b| b.len() as u64)
                 .unwrap_or(0);
-            if let Some(record) = core.client(client).cloned() {
-                core.engine_mut().table_mut().remove(&filter, &record.node);
-                core.sequences_mut().remove(client, &filter);
-                if let Some(rec) = core.client_mut(client) {
-                    rec.subscriptions.retain(|f| f != &filter);
-                }
-                let now_empty = core
-                    .client(client)
-                    .map(|r| r.subscriptions.is_empty())
-                    .unwrap_or(false);
-                if now_empty {
-                    core.remove_client(client);
-                }
-            }
+            collect_subscription(core, client, &filter);
             self.leases_expired += 1;
             out.push(Effect::Incr("mobility.lease_expired"));
             out.push(Effect::Add("mobility.lease_dropped_deliveries", dropped));
@@ -553,10 +514,7 @@ impl RelocationMachine {
         // Did this broker already serve the subscription before the client
         // disappeared?  Then it is its own "old border broker" and can
         // replay locally without any relocation round trip.
-        let was_local_subscription = core
-            .client(client)
-            .map(|r| r.subscriptions.contains(&filter))
-            .unwrap_or(false);
+        let was_local_subscription = core.has_local_subscription(client, &filter);
 
         // The client is (re-)attached locally and its subscription installed
         // so that *new* notifications start flowing towards this broker.
@@ -672,10 +630,8 @@ impl RelocationMachine {
             .map(|s| s.counterpart.is_some())
             .unwrap_or(false);
         if counterpart_here
-            || core
-                .client(client)
-                .map(|r| !r.connected && r.subscriptions.contains(&filter))
-                .unwrap_or(false)
+            || (core.client(client).is_some_and(|r| !r.connected)
+                && core.has_local_subscription(client, &filter))
         {
             out.extend(self.replay_and_collect(core, client, &filter, last_seq, from));
             return out;
@@ -766,12 +722,7 @@ impl RelocationMachine {
             .get(&key)
             .map(|s| s.counterpart.is_some())
             .unwrap_or(false);
-        if counterpart_here
-            || core
-                .client(client)
-                .map(|r| r.subscriptions.contains(&filter))
-                .unwrap_or(false)
-        {
+        if counterpart_here || core.has_local_subscription(client, &filter) {
             out.extend(self.replay_and_collect(core, client, &filter, last_seq, from));
             return out;
         }
@@ -849,20 +800,7 @@ impl RelocationMachine {
         // Garbage collection: the subscription of the departed client and
         // its sequence state disappear from this broker; the routing entry
         // pointing at the (gone) client node is dropped.
-        if let Some(record) = core.client(client).cloned() {
-            core.engine_mut().table_mut().remove(filter, &record.node);
-            core.sequences_mut().remove(client, filter);
-            if let Some(rec) = core.client_mut(client) {
-                rec.subscriptions.retain(|f| f != filter);
-            }
-            let now_empty = core
-                .client(client)
-                .map(|r| r.subscriptions.is_empty())
-                .unwrap_or(false);
-            if now_empty {
-                core.remove_client(client);
-            }
-        }
+        collect_subscription(core, client, filter);
         out.push(Effect::Incr("mobility.gc_old_broker"));
         self.maybe_checkpoint();
 
@@ -1127,6 +1065,20 @@ fn relocation_flood_links(
     }
 }
 
+/// Garbage collects one subscription of a departed client at its old
+/// border broker: the subscription with its routing entry, its sequence
+/// state, and the client record itself once nothing is left on it.
+fn collect_subscription(core: &mut BrokerCore, client: ClientId, filter: &Filter) {
+    if core.client(client).is_none() {
+        return;
+    }
+    core.unsubscribe_local(client, filter);
+    core.sequences_mut().remove(client, filter);
+    if core.local_subscriptions(client).is_empty() {
+        core.remove_client(client);
+    }
+}
+
 /// Packages replay/flush deliveries for the client link: one
 /// [`Message::DeliverBatch`] when there is more than one delivery (so
 /// replays are observed on the wire as a single batch message instead of N
@@ -1340,7 +1292,7 @@ mod tests {
             .expect("client reconstructed");
         assert!(!record.connected);
         assert_eq!(record.node, NodeId(100));
-        assert!(record.subscriptions.contains(&filter()));
+        assert!(core2.has_local_subscription(ClientId::new(1), &filter()));
         // The sequence watermark continues where the crashed broker left.
         assert_eq!(core2.sequences().peek(ClientId::new(1), &filter()), 5);
     }

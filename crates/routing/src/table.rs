@@ -283,6 +283,27 @@ impl<D: Ord + Clone> RoutingTable<D> {
         }
     }
 
+    /// Visits every entry whose filter matches the notification, exactly
+    /// once each, as `(destination, entry id, filter)` — the per-instance
+    /// counterpart of [`RoutingTable::for_each_matching_destination`] for
+    /// callers that act on each subscription rather than each link (a
+    /// border broker's local delivery).  Entry ids are monotonic in
+    /// insertion order, so sorting the visited triples by
+    /// `(destination, entry id)` yields the order of
+    /// [`RoutingTable::iter`]; the visiting order itself is unspecified.
+    pub fn for_each_matching_entry(
+        &self,
+        n: &Notification,
+        mut visit: impl FnMut(&D, u64, &Filter),
+    ) {
+        self.index.for_each_match(n, |sgid| {
+            let sub = &self.subgroups[sgid];
+            for id in &sub.members {
+                visit(&self.entries[id].0, *id, &sub.filter);
+            }
+        });
+    }
+
     /// The matching destinations of a whole queue of notifications, via the
     /// index's batch kernel (every posting list is walked once per
     /// 64-notification chunk; chunks fan out across worker threads on
@@ -602,6 +623,37 @@ mod tests {
         t.for_each_matching_destination(&vacancy(1), Some(&2), |d| seen.push(*d));
         assert_eq!(seen, t.matching_destinations(&vacancy(1), Some(&2)));
         assert_eq!(seen, vec![1, 3]);
+    }
+
+    #[test]
+    fn entry_visitor_agrees_with_a_scan_of_iter_after_removals() {
+        let mut t: RoutingTable<u32> = RoutingTable::new();
+        for i in 0..60u32 {
+            t.insert(parking((i % 6) as i64), i % 5);
+        }
+        // One instance of a duplicated pair, a whole destination, and a
+        // whole subgroup go away.
+        assert!(t.remove(&parking(4), &0));
+        t.remove_destination(&3);
+        t.remove_covered_by(&parking(1));
+        t.insert(parking(2), 3);
+
+        for cost in 0..7 {
+            let n = vacancy(cost);
+            let mut visited: Vec<(u32, u64, Filter)> = Vec::new();
+            t.for_each_matching_entry(&n, |d, id, f| visited.push((*d, id, f.clone())));
+            visited.sort_by_key(|(d, id, _)| (*d, *id));
+            let ids: BTreeSet<u64> = visited.iter().map(|(_, id, _)| *id).collect();
+            assert_eq!(ids.len(), visited.len(), "an entry was visited twice");
+            // Sorted by (destination, entry id) the visit is `iter()` order.
+            let visited: Vec<(u32, Filter)> = visited.into_iter().map(|(d, _, f)| (d, f)).collect();
+            let scanned: Vec<(u32, Filter)> = t
+                .iter()
+                .filter(|(_, f)| f.matches(&n))
+                .map(|(d, f)| (*d, f.clone()))
+                .collect();
+            assert_eq!(visited, scanned, "cost {cost}");
+        }
     }
 
     #[test]

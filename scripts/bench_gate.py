@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Bench regression gate: run the matcher + shard criterion benches and fail
-when hot-path performance regresses against the checked-in baselines.
+"""Bench regression gate: run every gated criterion bench (matcher, shards,
+churn, session, net, obs, retain) and fail when a measurement regresses
+against its checked-in `BENCH_*.json` baseline.
 
 Usage:
     python3 scripts/bench_gate.py [--skip-run]
@@ -61,8 +62,8 @@ between machines:
     the absolute-median gate against its own baseline.
 
 Behaviour:
-  1. Runs `cargo bench -p rebeca-bench --bench matcher_bench` and
-     `--bench shard_bench` with `CRITERION_JSON` set, honouring whatever
+  1. Runs `cargo bench -p rebeca-bench --bench <name>` for every entry of
+     `BENCHES` below with `CRITERION_JSON` set, honouring whatever
      `CRITERION_MEASUREMENT_MS` / `CRITERION_WARMUP_MS` the caller exports
      (pass `--skip-run` to reuse `$BENCH_GATE_DIR` output from a previous
      run).
