@@ -1,5 +1,10 @@
-//! The mobility-aware Rebeca broker — a thin adapter over the extracted
-//! mobility engine.
+//! The mobility-aware Rebeca broker: the adapter that binds the extracted
+//! mobility engine to `BrokerCore` — and, today, a good deal more than an
+//! adapter.  Besides the demultiplexing described below it carries the
+//! location-dependent subscriptions, the drain queue, the history-replay
+//! sessions of `subscribe_since`, retention recording and the trace-span
+//! plumbing; it is the largest file in the workspace, and ROADMAP
+//! direction 3 is about making it thin again.
 //!
 //! [`MobileBroker`] wraps the static [`BrokerCore`] of `rebeca-broker` and
 //! wires it to the two mobility layers:

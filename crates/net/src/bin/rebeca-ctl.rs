@@ -567,7 +567,7 @@ fn wait(
 
 /// Asks broker `broker` to sever its outbound connections to `peer` by
 /// sending the hello-less `LinkDrop` admin frame.  One-shot, best effort:
-/// the writer threads redial immediately, which is the point.
+/// the links redial immediately, which is the point.
 fn drop_link(common: &CommonArgs, broker: usize, peer: usize) -> Result<(), String> {
     use std::io::Write;
     if peer >= common.cluster.endpoints.len() {

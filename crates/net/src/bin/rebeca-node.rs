@@ -10,7 +10,9 @@
 //! format), hosts broker `--broker` on a `TcpDriver`, dials its topology
 //! peers and serves until `--run-secs` elapses (forever when omitted).
 //! Prints a single `listening` line once the socket is bound, so a harness
-//! can wait for readiness, and a metrics summary on clean exit.
+//! can wait for readiness, and a metrics summary on clean exit: link
+//! messages, frames in/out, and what they cost in wake-ups — socket writes
+//! made by the event loop, ack frames written and read.
 //!
 //! With `--status-file`, the process writes its live status report (the
 //! same JSON `rebeca-ctl status --json` renders) to the given file every
@@ -201,12 +203,17 @@ fn run() -> Result<(), String> {
     }
 
     let metrics = system.metrics();
+    // New fields go at the end: harnesses find the first three by key.
     println!(
-        "rebeca-node: broker {} done (link messages {}, frames in {}, frames out {})",
+        "rebeca-node: broker {} done (link messages {}, frames in {}, frames out {}, \
+         socket writes {}, acks out {}, acks in {})",
         args.broker,
         metrics.counter("network.messages"),
         metrics.counter("net.frames_in"),
         metrics.counter("net.frames_out"),
+        metrics.counter("net.socket_writes"),
+        metrics.counter("net.acks_out"),
+        metrics.counter("net.acks_in"),
     );
     Ok(())
 }

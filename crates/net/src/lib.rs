@@ -4,23 +4,27 @@
 //! the protocol code**.
 //!
 //! The paper specifies its protocols over point-to-point, error-free, FIFO
-//! links (Section 2.1).  Blocking `std::net` sockets with one thread per
-//! connection direction satisfy that contract exactly — TCP is FIFO per
-//! connection — so no async runtime is needed.  Four layers:
+//! links (Section 2.1).  Blocking `std::net` sockets — written by the
+//! event loop, read by one thread per inbound connection — satisfy that
+//! contract exactly: TCP is FIFO per connection, so no async runtime is
+//! needed.  Five layers:
 //!
 //! 1. **wire codec** ([`wire`]) — length-prefixed + CRC32 frames (the same
 //!    discipline as the mobility WAL, sharing `rebeca_mobility::codec`)
 //!    carrying every [`Message`](rebeca_broker::Message) variant, plus the
 //!    `Hello` handshake (node id, epoch, dial-back endpoint, link delay
 //!    model) and heartbeats;
-//! 2. **link layer** (`link` module) — a dial-and-pump writer thread and a
-//!    decode-and-forward reader thread per connection direction.  Links are
-//!    **self-healing**: a dropped socket is redialled with exponential
-//!    backoff and jitter, unacknowledged frames are replayed from a bounded
-//!    resend window (receivers deduplicate by per-direction sequence
-//!    number), and `Hello` epochs fence off zombie incarnations of a
-//!    restarted peer.  [`FaultPlan`] injects deterministic socket drops for
-//!    chaos testing;
+//! 2. **link layer** (`link` module) — per connection direction a sans-IO
+//!    outbound state machine owned by the event loop (sequence numbers,
+//!    resend window, one write per loop turn), a cold dialer thread, a cold
+//!    ack-pump thread, and a decode-and-forward reader thread on the
+//!    receiving side.  Links are **self-healing**: a dropped socket is
+//!    redialled with exponential backoff and jitter, unacknowledged frames
+//!    are replayed from a bounded resend window (receivers deduplicate by
+//!    per-direction sequence number and acknowledge cumulatively, every 32
+//!    frames or after a 2 ms pause), and `Hello` epochs fence off zombie
+//!    incarnations of a restarted peer.  [`FaultPlan`] injects
+//!    deterministic socket drops for chaos testing;
 //! 3. **[`TcpDriver`]** — the [`Driver`](rebeca_core::Driver)
 //!    implementation: an event loop over the locally hosted nodes with real
 //!    `Instant` timers, sharing the FIFO clamp and event-ordering machinery

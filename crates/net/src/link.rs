@@ -1,27 +1,42 @@
-//! The link layer: blocking sockets, one thread per connection direction,
-//! self-healing across connection losses.
+//! The link layer: blocking sockets, one loop-owned outbound state machine
+//! per directed link, self-healing across connection losses.
 //!
 //! A TCP link between two nodes is made of up to two *directed*
-//! connections, each owned by the sending side:
+//! connections, each owned by the sending side.  Thread inventory per
+//! directed connection — one reader at the receiver; at the sender one cold
+//! dialer, one cold ack pump and **no writer thread**:
 //!
-//! * the **writer thread** ([`spawn_writer`]) dials the peer's listen
-//!   endpoint (retrying until the peer process is up), sends the
-//!   [`Frame::Hello`] handshake, then pumps queued frames onto the socket —
-//!   interleaving [`Frame::Heartbeat`]s whenever the link has been idle for
-//!   the configured interval.  When the connection breaks it *redials* with
-//!   exponential backoff + jitter, replays its unacknowledged frames, and
-//!   resumes — frames queued while the link was down are retained, never
-//!   dropped.  A companion **ack pump** thread reads the cumulative
-//!   [`Frame::Ack`]s the peer writes back and prunes the writer's bounded
-//!   resend window; window overflow fails the link loudly
-//!   ([`LinkEvent::Failed`]) rather than ever losing a frame silently.
-//! * the **reader thread** ([`spawn_reader`]) serves one accepted
-//!   connection: it decodes frames off the socket and forwards them as
-//!   [`Inbound`] events into the driver's event loop channel, suppressing
-//!   duplicate sequence numbers (replays of frames that did arrive before
-//!   the crash) and acknowledging progress.  A corrupt stream (checksum
-//!   mismatch, unknown tag) closes the connection with a typed error —
-//!   never a panic.
+//! * the sender's **event loop** owns the [`Link`]: the sequence counter,
+//!   the resend window (one reusable buffer of encoded frames), the
+//!   connected socket.  A send is sequenced and encoded straight into the
+//!   window ([`Outbound::enqueue`]); the loop writes everything a turn
+//!   produced with **one `write` per link** ([`Link::flush`]) — coalescing
+//!   under load, no hand-off when idle.  Handshake, replay, idle
+//!   [`Frame::Heartbeat`]s and [`FaultPlan`] drops act on the same
+//!   single-owner state, so nothing can interleave with a data flush.
+//! * one cold **dialer** thread ([`Link::spawn`]) dials the peer's listen
+//!   endpoint (retrying until the peer process is up), hands the loop a
+//!   connected socket ([`ConnSignal::Connected`]) and sleeps until the loop
+//!   asks for the next one.  After a loss it *redials* with exponential
+//!   backoff + jitter; the loop then writes `Hello` and replays the
+//!   unacknowledged suffix — frames enqueued while the link was down wait
+//!   in the window and leave exactly once, with that replay.
+//! * one cold **ack pump** thread per connection reads the cumulative
+//!   [`Frame::Ack`]s the peer writes back and publishes the high-water mark
+//!   through an `AtomicU64` the link reads before every window check — it
+//!   wakes nobody.  A window that overflows all the same (a peer that
+//!   acknowledges nothing, or a burst that outruns the ack round trip)
+//!   fails the link loudly ([`LinkEvent::Failed`]) rather than ever losing
+//!   a frame silently.
+//! * the receiver's **reader thread** ([`spawn_reader`]) serves one
+//!   accepted connection: it decodes frames off the socket and forwards
+//!   them as [`Inbound`] events into the driver's event loop channel,
+//!   suppressing duplicate sequence numbers (replays of frames that did
+//!   arrive before the crash).  Acknowledgements are cumulative and
+//!   *delayed*: one `Ack` per [`ACK_EVERY`] sequenced frames, or when the
+//!   stream pauses for [`ACK_DELAY`] with one owed.  A corrupt stream
+//!   (checksum mismatch, unknown tag) closes the connection with a typed
+//!   error — never a panic.
 //!
 //! Epoch fencing makes the `Hello` restart epoch load-bearing: the shared
 //! [`LinkRegistry`] records the newest epoch seen per peer node, a reader
@@ -29,24 +44,24 @@
 //! established connections from a superseded epoch are torn down — a
 //! zombie pre-crash incarnation can never interleave with its successor.
 //!
-//! TCP guarantees per-connection FIFO, and the resend window replays the
-//! unacknowledged suffix in order on the *same* (new) connection, so
-//! per-direction FIFO — the link contract of the paper's Section 2.1 —
-//! holds across connection generations: driver send order → writer channel
-//! order → socket order (replayed prefix first) → reader order (duplicates
-//! dropped) → event channel order.
+//! TCP guarantees per-connection FIFO, and a new connection replays the
+//! unacknowledged suffix in order before anything fresh, so per-direction
+//! FIFO — the link contract of the paper's Section 2.1 — holds across
+//! connection generations: driver send order → link window order → socket
+//! order (replayed prefix first) → reader order (duplicates dropped) →
+//! event channel order.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rebeca_broker::Message;
-use rebeca_sim::{DelayModel, NodeId, SimDuration};
+use rebeca_sim::{DelayModel, Metrics, NodeId, SimDuration};
 
 use crate::endpoint::Endpoint;
 use crate::wire::{Frame, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN};
@@ -55,8 +70,24 @@ use crate::wire::{Frame, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 /// flag.
 const READ_POLL: Duration = Duration::from_millis(100);
 
+/// A reader acknowledges once this many sequenced frames have arrived since
+/// its last acknowledgement…
+pub(crate) const ACK_EVERY: u32 = 32;
+
+/// …or once the stream has paused this long with an acknowledgement owed
+/// (the reader's socket read timeout while one is).
+const ACK_DELAY: Duration = Duration::from_millis(2);
+
 /// How long the acceptor sleeps between polls of its non-blocking listener.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
+
+/// Whether a blocking socket call gave up at its timeout rather than failed.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
 
 /// An event arriving over the network, forwarded into the driver loop.
 #[derive(Debug)]
@@ -111,12 +142,18 @@ pub(crate) enum Inbound {
         /// numbers strictly greater than this.
         spans_after: Option<u64>,
     },
-    /// A writer's outbound connection changed state.
-    Link {
-        /// The peer the writer dials.
+    /// A dialer or ack pump reporting on the outbound link `local → peer`;
+    /// the loop hands it to [`Link::on_signal`].
+    Conn {
+        /// The local node the link sends for.
+        local: NodeId,
+        /// The peer the link dials.
         peer: NodeId,
-        /// What happened to the connection.
-        event: LinkEvent,
+        /// The connection concerned (1 = the link's first; for a redial
+        /// attempt, the one that was lost).
+        generation: u64,
+        /// What happened.
+        signal: ConnSignal,
     },
     /// A reader rejected (or tore down) a connection whose restart epoch
     /// regressed below the newest epoch seen from that node.
@@ -143,17 +180,18 @@ pub(crate) enum Inbound {
     },
 }
 
-/// A state transition of one outbound connection, reported by its writer
-/// thread via [`Inbound::Link`].
+/// A state transition of one outbound link, raised by the event loop as it
+/// drives the [`Link`] — or, for `Redial`, `Down` and `Fenced`, reported to
+/// it by the link's helper threads ([`ConnSignal::Event`]).
 #[derive(Debug)]
 pub(crate) enum LinkEvent {
-    /// Dial + handshake succeeded; `resent` unacknowledged frames were
-    /// replayed from the resend window (0 on the first connection).
+    /// Dial + handshake succeeded; `resent` unacknowledged frames that had
+    /// been written before are being replayed (0 on the first connection).
     Up {
         /// Frames replayed from the resend window.
         resent: usize,
     },
-    /// An established connection was lost; the writer is redialing.
+    /// An established connection was lost; the dialer is redialing.
     Down {
         /// Why the connection dropped.
         reason: String,
@@ -163,8 +201,8 @@ pub(crate) enum LinkEvent {
         /// Lifetime redial attempt count for this link.
         attempt: u64,
     },
-    /// The peer fenced this writer's epoch: a newer incarnation of the
-    /// local node owns the identity, so the writer exits permanently.
+    /// The peer fenced this link's epoch: a newer incarnation of the local
+    /// node owns the identity, so the link closes permanently.
     Fenced {
         /// The minimum epoch the peer accepts.
         expected: u64,
@@ -177,35 +215,14 @@ pub(crate) enum LinkEvent {
     },
 }
 
-/// A command consumed by a writer thread: an outbound frame from the
-/// driver, or feedback from the connection's ack pump.
-pub(crate) enum WriterCmd {
-    /// Send a protocol frame (sequenced and resend-buffered by the writer).
-    Frame(Frame),
-    /// The peer acknowledged every sequence number `<= seq`.
-    Ack {
-        /// Connection generation the ack arrived on (informational:
-        /// cumulative acks are monotone, so any generation's ack prunes).
-        #[allow(dead_code)]
-        generation: u64,
-        /// The peer's receive high-water mark.
-        seq: u64,
-    },
-    /// The peer fenced this connection's epoch.
-    Fenced {
-        /// Connection generation the fence arrived on.
-        generation: u64,
-        /// The minimum epoch the peer accepts.
-        expected: u64,
-    },
-    /// The connection's read half hit EOF or an error.
-    ConnLost {
-        /// The generation that died.
-        generation: u64,
-    },
-    /// Force-drop the current connection (admin fault injection); the
-    /// writer redials and replays as if the socket had broken.
-    Drop,
+/// What a link's helper threads tell the event loop.
+#[derive(Debug)]
+pub(crate) enum ConnSignal {
+    /// The dialer connected; the loop takes the socket over.
+    Connected(TcpStream),
+    /// The dialer starts a reconnect attempt (`Redial`), or the ack pump's
+    /// read half ended (`Down`) or was fenced by the peer (`Fenced`).
+    Event(LinkEvent),
 }
 
 /// Deterministic fault injection for the link layer: drop the connection
@@ -247,16 +264,20 @@ impl FaultPlan {
     }
 }
 
-/// The per-connection knob set of one writer thread.
+/// The knob set of one outbound link.
 pub(crate) struct LinkConfig {
     /// The peer's listen endpoint to dial.
     pub target: Endpoint,
+    /// The local node the link sends for.
+    pub local: NodeId,
     /// The peer node the link feeds.
     pub peer: NodeId,
     /// The handshake to (re)send on every fresh connection.
     pub hello: Frame,
-    /// Idle interval after which a heartbeat is written.
-    pub heartbeat: Duration,
+    /// Socket write timeout — the liveness horizon: a peer that takes no
+    /// byte for this long is a broken connection, not a reason to wedge
+    /// the event loop.
+    pub write_timeout: Duration,
     /// Constant dial cadence for the *first* connection (cluster startup).
     pub dial_retry: Duration,
     /// Backoff cap for redials after a connection loss.
@@ -272,7 +293,7 @@ pub(crate) struct LinkConfig {
 
 /// Exponential backoff with deterministic jitter for redial attempt
 /// `attempt` (1-based): `base * 2^(attempt-1)` capped at `max`, plus up to
-/// 25% jitter derived from `seed` — so a cluster of writers redialing the
+/// 25% jitter derived from `seed` — so a cluster of dialers redialing the
 /// same crashed peer does not thunder in lockstep.
 fn redial_backoff(attempt: u64, base: Duration, max: Duration, seed: u64) -> Duration {
     let base_us = (base.as_micros() as u64).max(1);
@@ -307,10 +328,15 @@ pub(crate) enum Admit {
 /// Shared per-driver connection bookkeeping: the newest restart epoch seen
 /// per peer node (for fencing) and the per-direction receive high-water
 /// marks (for duplicate suppression and cumulative acks).  One instance is
-/// shared by every reader thread of a driver.
+/// shared by every reader and ack-pump thread of a driver.
 #[derive(Debug, Default)]
 pub(crate) struct LinkRegistry {
     inner: Mutex<RegistryInner>,
+    /// `Ack` frames written by this driver's readers, and read by its ack
+    /// pumps, since the event loop last folded them into its `Metrics`
+    /// (`net.acks_out` / `net.acks_in`; helper threads have no `Metrics`).
+    pub acks_out: AtomicU64,
+    pub acks_in: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -381,45 +407,497 @@ impl LinkRegistry {
     }
 }
 
-/// Spawns the ack pump for one writer connection: it reads the peer's
-/// cumulative [`Frame::Ack`]s (and [`Frame::Fenced`] rejections) off the
-/// connection's read half and feeds them back into the writer's command
-/// channel, tagged with the connection generation.  Exits on EOF, error,
-/// fence, or shutdown — reporting [`WriterCmd::ConnLost`] so the writer
-/// notices a peer that died silently between writes.
+/// The sans-IO outbound half of one directed link: sequence numbers, the
+/// resend window, the write cursor and the fault plan.  Everything that
+/// touches a socket takes it as `impl Write`, so the whole contract is unit
+/// tested against a byte vector.
+///
+/// The window is ONE buffer of encoded frames, oldest unacknowledged first:
+///
+/// ```text
+/// window:  [ acknowledged | written, unacknowledged | not yet written ]
+///          0            head                     written          len
+/// ```
+///
+/// A flush writes `window[written..]` in one call; a new connection rewinds
+/// `written` to `head`, so "replay the unacknowledged suffix, then the
+/// frames enqueued while the link was down, then fresh frames" is the same
+/// flush — no frame exists in two places, so none can leave twice.
+pub(crate) struct Outbound {
+    from: NodeId,
+    to: NodeId,
+    hello: Vec<u8>,
+    resend_window: usize,
+    /// Largest encoded frame the peer accepts (header included).
+    max_frame: usize,
+    fault: Option<FaultPlan>,
+    /// Sequence number of the next frame; the frames in the window are
+    /// `next_seq - lens.len() .. next_seq`.
+    next_seq: u64,
+    window: Vec<u8>,
+    /// Encoded length of every unacknowledged frame, oldest first.
+    lens: VecDeque<usize>,
+    head: usize,
+    written: usize,
+    /// Highest sequence number ever written to a socket: frames above it
+    /// are fresh (they count towards the fault plan), frames up to it are
+    /// resends when a new connection replays them.
+    sent_high: u64,
+    /// Fresh frames written since the fault plan last fired.
+    fault_count: u64,
+    /// The peer's cumulative acknowledgement, published by the ack pumps.
+    acked: Arc<AtomicU64>,
+    /// Fenced or failed: every later enqueue is refused.
+    closed: bool,
+}
+
+impl Outbound {
+    pub fn new(cfg: &LinkConfig) -> Self {
+        Self {
+            from: cfg.local,
+            to: cfg.peer,
+            hello: cfg.hello.encode_framed(),
+            resend_window: cfg.resend_window,
+            max_frame: MAX_FRAME_LEN as usize + FRAME_HEADER_LEN,
+            fault: cfg
+                .fault
+                .filter(|f| f.peer.is_none() || f.peer == Some(cfg.peer.index())),
+            next_seq: 1,
+            window: Vec::new(),
+            lens: VecDeque::new(),
+            head: 0,
+            written: 0,
+            sent_high: 0,
+            fault_count: 0,
+            acked: Arc::new(AtomicU64::new(0)),
+            closed: false,
+        }
+    }
+
+    /// Whether a flush would write anything.
+    pub fn pending(&self) -> bool {
+        self.written < self.window.len()
+    }
+
+    /// Sequences `message` and encodes it into the window.  A frame over
+    /// the receiver's size limit is split into halves (batch payloads only)
+    /// until every piece fits; pieces are sequenced in final order, so
+    /// per-direction FIFO — and therefore exactly-once delivery — is
+    /// preserved.
+    ///
+    /// `Ok(true)` means the link had nothing unwritten before: it is the
+    /// caller's cue to put the link on its flush list.  `Err` means the
+    /// frame was refused: `Some(event)` when this very frame failed the
+    /// link (an unsplittable oversized frame, or more than `resend_window`
+    /// frames unacknowledged — checked against the peer's *current* ack
+    /// mark), `None` when the link was already closed.
+    pub fn enqueue(
+        &mut self,
+        delay_micros: u64,
+        message: Message,
+    ) -> Result<bool, Option<LinkEvent>> {
+        if self.closed {
+            return Err(None);
+        }
+        let first_unwritten = !self.pending();
+        let pushed = self.push(Frame::Message {
+            from: self.from,
+            to: self.to,
+            delay_micros,
+            seq: 0,
+            message,
+        });
+        self.prune();
+        let reason = match pushed {
+            Err(reason) => reason,
+            Ok(()) if self.lens.len() > self.resend_window => format!(
+                "resend window overflow: {} unacked frames exceed the limit of {}",
+                self.lens.len(),
+                self.resend_window
+            ),
+            Ok(()) => return Ok(first_unwritten),
+        };
+        self.close();
+        Err(Some(LinkEvent::Failed { reason }))
+    }
+
+    fn push(&mut self, mut frame: Frame) -> Result<(), String> {
+        if let Frame::Message { seq, .. } = &mut frame {
+            *seq = self.next_seq;
+        }
+        let start = self.window.len();
+        frame.encode_framed_into(&mut self.window);
+        let len = self.window.len() - start;
+        if len <= self.max_frame {
+            self.next_seq += 1;
+            self.lens.push_back(len);
+            return Ok(());
+        }
+        self.window.truncate(start);
+        match split_frame(frame) {
+            Some((first, second)) => {
+                self.push(first)?;
+                self.push(second)
+            }
+            // An unsplittable message the peer is guaranteed to reject: the
+            // link cannot honour its error-free contract any more — fail it
+            // loudly rather than silently dropping one message.
+            None => Err(format!(
+                "unsplittable frame of {len} bytes exceeds the {} payload limit",
+                self.max_frame - FRAME_HEADER_LEN
+            )),
+        }
+    }
+
+    /// Drops every frame the peer has acknowledged from the window.
+    fn prune(&mut self) {
+        // Relaxed: the mark is a lone monotone number, it publishes no
+        // other memory.
+        let acked = self.acked.load(Ordering::Relaxed);
+        while self.next_seq - self.lens.len() as u64 <= acked {
+            let Some(len) = self.lens.pop_front() else {
+                break;
+            };
+            self.head += len;
+        }
+        // Acknowledged on an earlier connection: nothing left to replay.
+        self.written = self.written.max(self.head);
+        if self.head == self.window.len() {
+            self.window.clear();
+            (self.head, self.written) = (0, 0);
+        } else if self.head > self.window.len() / 2 {
+            self.window.drain(..self.head);
+            self.written -= self.head;
+            self.head = 0;
+        }
+    }
+
+    /// Opens a fresh connection: writes the handshake and rewinds the write
+    /// cursor to the oldest unacknowledged frame, so the next flush starts
+    /// exactly where the old connection provably left off.  Returns how
+    /// many of the frames to replay had been written before.
+    pub fn hello(
+        &mut self,
+        sock: &mut impl Write,
+        metrics: &mut Metrics,
+    ) -> std::io::Result<usize> {
+        self.prune();
+        self.written = self.head;
+        metrics.incr("net.socket_writes");
+        sock.write_all(&self.hello)?;
+        let oldest = self.next_seq - self.lens.len() as u64;
+        Ok((self.sent_high + 1).saturating_sub(oldest) as usize)
+    }
+
+    /// Writes everything not yet written on this connection with one
+    /// `write`.  `Ok(true)` means the fault plan fired at this write
+    /// boundary; like an error, it obliges the caller to drop the
+    /// connection.
+    pub fn flush(&mut self, sock: &mut impl Write, metrics: &mut Metrics) -> std::io::Result<bool> {
+        if !self.pending() {
+            return Ok(false);
+        }
+        metrics.incr("net.socket_writes");
+        sock.write_all(&self.window[self.written..])?;
+        self.written = self.window.len();
+        let newest = self.next_seq - 1;
+        self.fault_count += newest.saturating_sub(self.sent_high);
+        self.sent_high = self.sent_high.max(newest);
+        if let Some(plan) = self.fault {
+            if self.fault_count >= plan.drop_after_frames {
+                if plan.once {
+                    self.fault = None;
+                } else {
+                    self.fault_count = 0;
+                }
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Closes the link for good (fenced or failed) and frees the window.
+    pub fn close(&mut self) {
+        self.closed = true;
+        self.window = Vec::new();
+        self.lens.clear();
+        (self.head, self.written) = (0, 0);
+    }
+}
+
+/// One directed outbound link as the event loop owns it: the [`Outbound`]
+/// state machine plus the connected socket (when there is one) and the
+/// handle on the link's dialer thread.
+pub(crate) struct Link {
+    out: Outbound,
+    heartbeat: Vec<u8>,
+    conn: Option<TcpStream>,
+    /// Generation of `conn` (or of the last connection, while down).
+    generation: u64,
+    last_write: Instant,
+    /// Asks the dialer for the next connection — `true` after a write
+    /// timeout, which makes it back off first.
+    redial: Sender<bool>,
+}
+
+impl Link {
+    /// Creates the link and spawns its dialer, which starts dialling at
+    /// once; frames enqueued before the first connection wait in the
+    /// window.
+    pub fn spawn(
+        cfg: LinkConfig,
+        events: Sender<Inbound>,
+        shutdown: Arc<AtomicBool>,
+        registry: Arc<LinkRegistry>,
+    ) -> Self {
+        let out = Outbound::new(&cfg);
+        let heartbeat = Frame::Heartbeat { epoch: cfg.epoch }.encode_framed();
+        let (redial, requests) = channel();
+        spawn_dialer(cfg, out.acked.clone(), requests, events, shutdown, registry);
+        Self {
+            out,
+            heartbeat,
+            conn: None,
+            generation: 0,
+            last_write: Instant::now(),
+            redial,
+        }
+    }
+
+    /// See [`Outbound::enqueue`]; a link that fails hangs up for good (its
+    /// dialer stays parked until the driver goes).
+    pub fn enqueue(
+        &mut self,
+        delay_micros: u64,
+        message: Message,
+    ) -> Result<bool, Option<LinkEvent>> {
+        let result = self.out.enqueue(delay_micros, message);
+        if let Err(Some(_)) = result {
+            self.hang_up();
+        }
+        result
+    }
+
+    /// Writes what the turn produced (one `write`); reports the connection
+    /// loss if that is what came of it.
+    pub fn flush(&mut self, metrics: &mut Metrics) -> Option<LinkEvent> {
+        let sock = self.conn.as_mut()?;
+        if !self.out.pending() {
+            return None;
+        }
+        self.last_write = Instant::now();
+        match self.out.flush(sock, metrics) {
+            Ok(false) => None,
+            Ok(true) => self.lose("fault-injected drop".into(), false),
+            Err(e) => self.write_failed("write", e),
+        }
+    }
+
+    /// A write that errors or times out is a broken connection, and the
+    /// event loop will not wait for it.  Only the timeout — a peer that
+    /// takes no bytes — makes the dialer back off first; a reset is
+    /// redialled at once, like any other loss.
+    fn write_failed(&mut self, what: &str, e: std::io::Error) -> Option<LinkEvent> {
+        let stalled = timed_out(&e);
+        let reason = if stalled {
+            format!("{what} timed out: the peer takes no bytes")
+        } else {
+            format!("{what} failed: {e}")
+        };
+        self.lose(reason, stalled)
+    }
+
+    /// Writes a heartbeat if the connection has written nothing for `idle`.
+    pub fn keep_alive(
+        &mut self,
+        now: Instant,
+        idle: Duration,
+        metrics: &mut Metrics,
+    ) -> Option<LinkEvent> {
+        let sock = self.conn.as_mut()?;
+        if now.duration_since(self.last_write) < idle {
+            return None;
+        }
+        self.last_write = now;
+        metrics.incr("net.socket_writes");
+        let written = sock.write_all(&self.heartbeat);
+        written
+            .err()
+            .and_then(|e| self.write_failed("heartbeat write", e))
+    }
+
+    /// Drops the current connection, if any, and asks the dialer for the
+    /// next one (after a backoff, if told to); the window keeps every
+    /// unacknowledged frame for it.
+    pub fn lose(&mut self, reason: String, back_off: bool) -> Option<LinkEvent> {
+        self.hang_up()?;
+        let _ = self.redial.send(back_off);
+        Some(LinkEvent::Down { reason })
+    }
+
+    /// Closes the socket, if any, without asking for another.
+    fn hang_up(&mut self) -> Option<()> {
+        let _ = self.conn.take()?.shutdown(Shutdown::Both);
+        Some(())
+    }
+
+    /// Reacts to a dialer or ack-pump report about connection `generation`.
+    /// A fresh connection gets its `Hello` here; the caller flushes right
+    /// after, which is the replay.
+    pub fn on_signal(
+        &mut self,
+        generation: u64,
+        signal: ConnSignal,
+        metrics: &mut Metrics,
+    ) -> Option<LinkEvent> {
+        match signal {
+            ConnSignal::Connected(sock) => {
+                if self.out.closed {
+                    let _ = sock.shutdown(Shutdown::Both);
+                    return None;
+                }
+                self.generation = generation;
+                self.last_write = Instant::now();
+                match self.out.hello(self.conn.insert(sock), metrics) {
+                    Ok(resent) => Some(LinkEvent::Up { resent }),
+                    Err(e) => self.write_failed("handshake", e),
+                }
+            }
+            // Feedback about a connection the loop already dropped.
+            ConnSignal::Event(_) if generation != self.generation => None,
+            ConnSignal::Event(LinkEvent::Down { reason }) => self.lose(reason, false),
+            ConnSignal::Event(event) => {
+                if let LinkEvent::Fenced { .. } = event {
+                    self.out.close();
+                    self.hang_up();
+                }
+                Some(event)
+            }
+        }
+    }
+}
+
+/// Spawns the dialer of one link: dial (with retry until `shutdown`), hand
+/// the connected socket to the event loop, start the connection's ack pump,
+/// then sleep until the loop asks for the next connection.
+///
+/// The first connection keeps the constant startup cadence (cluster
+/// processes come up in arbitrary order); after a loss every attempt is
+/// reported ([`LinkEvent::Redial`]) and backed off exponentially with
+/// jitter, capped at `redial_max`.  A connection whose *write timed out*
+/// counts as a failed attempt too: a peer that accepts and takes no bytes
+/// would otherwise cost the event loop one write timeout per redial, back
+/// to back.  The thread exits when the [`Link`] is dropped or `shutdown`
+/// is raised.
+fn spawn_dialer(
+    cfg: LinkConfig,
+    acked: Arc<AtomicU64>,
+    requests: Receiver<bool>,
+    events: Sender<Inbound>,
+    shutdown: Arc<AtomicBool>,
+    registry: Arc<LinkRegistry>,
+) {
+    std::thread::spawn(move || {
+        let (local, peer) = (cfg.local, cfg.peer);
+        let jitter_seed = cfg
+            .epoch
+            .wrapping_mul(0x1000_0001)
+            .wrapping_add(peer.index() as u64);
+        let mut generation: u64 = 0;
+        let mut redials: u64 = 0;
+        // Redial attempts since a connection last ended for any reason
+        // other than a write timeout.
+        let mut attempt: u64 = 0;
+        let backoff =
+            |attempt| redial_backoff(attempt, cfg.dial_retry, cfg.redial_max, jitter_seed);
+        let conn = move |generation, signal| Inbound::Conn {
+            local,
+            peer,
+            generation,
+            signal,
+        };
+        loop {
+            let (stream, pump_stream) = loop {
+                if shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
+                if generation > 0 {
+                    attempt += 1;
+                    redials += 1;
+                    let redial = ConnSignal::Event(LinkEvent::Redial { attempt: redials });
+                    if events.send(conn(generation, redial)).is_err() {
+                        return;
+                    }
+                }
+                let dialled = cfg.target.socket_addr().and_then(TcpStream::connect);
+                // The pump needs its own handle on the read half.
+                match dialled.and_then(|s| s.try_clone().map(|clone| (s, clone))) {
+                    Ok(pair) => break pair,
+                    Err(_) if generation == 0 => std::thread::sleep(cfg.dial_retry),
+                    Err(_) => std::thread::sleep(backoff(attempt)),
+                }
+            };
+            let _ = stream.set_nodelay(true);
+            let _ = stream.set_write_timeout(Some(cfg.write_timeout));
+            generation += 1;
+            let connected = ConnSignal::Connected(stream);
+            if events.send(conn(generation, connected)).is_err() {
+                return;
+            }
+            spawn_ack_pump(
+                pump_stream,
+                move |event| conn(generation, ConnSignal::Event(event)),
+                acked.clone(),
+                events.clone(),
+                shutdown.clone(),
+                registry.clone(),
+            );
+            match requests.recv() {
+                Ok(true) => std::thread::sleep(backoff(attempt.max(1))),
+                Ok(false) => attempt = 0,
+                Err(_) => return,
+            }
+        }
+    });
+}
+
+/// Spawns the ack pump of one connection: it reads the peer's cumulative
+/// [`Frame::Ack`]s off the connection's read half and publishes the
+/// high-water mark in `acked` — waking nobody; the link reads the mark
+/// before its next window check.  A [`Frame::Fenced`] rejection, EOF or a
+/// read error is reported to the event loop (through `conn`, which stamps
+/// the link and generation), so the loop notices a peer that died silently
+/// between writes.  Exits on any of those, or on shutdown.
 fn spawn_ack_pump(
     stream: TcpStream,
-    generation: u64,
-    tx: Sender<WriterCmd>,
+    conn: impl Fn(LinkEvent) -> Inbound + Send + 'static,
+    acked: Arc<AtomicU64>,
+    events: Sender<Inbound>,
     shutdown: Arc<AtomicBool>,
+    registry: Arc<LinkRegistry>,
 ) {
     std::thread::spawn(move || {
         let _ = stream.set_read_timeout(Some(READ_POLL));
         let mut stream = stream;
         let mut buf: Vec<u8> = Vec::with_capacity(256);
         let mut chunk = [0u8; 4096];
+        let report = |event| {
+            let _ = events.send(conn(event));
+        };
+        let lost = || {
+            report(LinkEvent::Down {
+                reason: "peer closed the connection".into(),
+            })
+        };
         loop {
             if shutdown.load(Ordering::SeqCst) {
                 return;
             }
             let n = match stream.read(&mut chunk) {
-                Ok(0) => {
-                    let _ = tx.send(WriterCmd::ConnLost { generation });
-                    return;
-                }
+                Ok(0) => return lost(),
                 Ok(n) => n,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    continue;
-                }
-                Err(_) => {
-                    let _ = tx.send(WriterCmd::ConnLost { generation });
-                    return;
-                }
+                Err(e) if timed_out(&e) => continue,
+                Err(_) => return lost(),
             };
             buf.extend_from_slice(&chunk[..n]);
             let mut consumed = 0;
@@ -427,329 +905,23 @@ fn spawn_ack_pump(
                 match Frame::decode_framed(&buf[consumed..]) {
                     Ok((Frame::Ack { seq }, used)) => {
                         consumed += used;
-                        if tx.send(WriterCmd::Ack { generation, seq }).is_err() {
-                            return;
-                        }
+                        // Cumulative acks are monotone, so even one from a
+                        // dead generation's pump safely prunes the window.
+                        // Relaxed: see `Outbound::prune`.
+                        acked.fetch_max(seq, Ordering::Relaxed);
+                        registry.acks_in.fetch_add(1, Ordering::Relaxed);
                     }
                     Ok((Frame::Fenced { expected }, _)) => {
-                        let _ = tx.send(WriterCmd::Fenced {
-                            generation,
-                            expected,
-                        });
-                        return;
+                        return report(LinkEvent::Fenced { expected });
                     }
                     Ok((_, used)) => consumed += used, // unexpected; ignore
                     Err(WireError::Truncated) => break,
-                    Err(_) => {
-                        let _ = tx.send(WriterCmd::ConnLost { generation });
-                        return;
-                    }
+                    Err(_) => return lost(),
                 }
             }
             buf.drain(..consumed);
         }
     });
-}
-
-/// Spawns the writer thread for one outbound connection: dial (with retry
-/// until `shutdown`), handshake with the configured `hello`, replay the
-/// resend window, then pump frames from `rx`, heart-beating after idleness.
-///
-/// On a connection loss the writer reports [`LinkEvent::Down`] and redials
-/// with exponential backoff + jitter ([`LinkEvent::Redial`] per attempt),
-/// then replays its unacknowledged frames on the fresh connection
-/// ([`LinkEvent::Up`] carries the replay count).  The thread exits when the
-/// command channel disconnects, `shutdown` is raised, the peer fences its
-/// epoch ([`LinkEvent::Fenced`]), or the link fails permanently
-/// ([`LinkEvent::Failed`]: resend-window overflow or an unsplittable
-/// oversized frame).
-///
-/// `self_tx` is the sending half of `rx`, handed to each connection's ack
-/// pump so peer feedback and driver frames share one ordered queue.
-pub(crate) fn spawn_writer(
-    cfg: LinkConfig,
-    rx: Receiver<WriterCmd>,
-    self_tx: Sender<WriterCmd>,
-    events: Sender<Inbound>,
-    shutdown: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let LinkConfig {
-            target,
-            peer,
-            hello,
-            heartbeat,
-            dial_retry,
-            redial_max,
-            resend_window,
-            epoch,
-            fault,
-        } = cfg;
-        let down = |reason: String| Inbound::Link {
-            peer,
-            event: LinkEvent::Down { reason },
-        };
-        let jitter_seed = epoch
-            .wrapping_mul(0x1000_0001)
-            .wrapping_add(peer.index() as u64);
-        let mut fault = fault.filter(|f| f.peer.is_none() || f.peer == Some(peer.index()));
-        let mut next_seq: u64 = 1;
-        let mut unacked: VecDeque<(u64, Vec<u8>)> = VecDeque::new();
-        let mut generation: u64 = 0;
-        let mut redials: u64 = 0;
-        let mut frames_written: u64 = 0;
-        'link: loop {
-            // Dial.  The first connection keeps the constant startup
-            // cadence (cluster processes come up in arbitrary order); after
-            // a loss every attempt is reported and backed off exponentially
-            // with jitter, capped at `redial_max`.
-            let mut stream = {
-                let mut attempt: u64 = 0;
-                loop {
-                    if shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if generation > 0 {
-                        attempt += 1;
-                        redials += 1;
-                        if events
-                            .send(Inbound::Link {
-                                peer,
-                                event: LinkEvent::Redial { attempt: redials },
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                    match target.socket_addr().and_then(TcpStream::connect) {
-                        Ok(stream) => break stream,
-                        Err(_) if generation == 0 => std::thread::sleep(dial_retry),
-                        Err(_) => std::thread::sleep(redial_backoff(
-                            attempt,
-                            dial_retry,
-                            redial_max,
-                            jitter_seed,
-                        )),
-                    }
-                }
-            };
-            let _ = stream.set_nodelay(true);
-            generation += 1;
-
-            // Handshake, then replay the unacknowledged suffix in order —
-            // the new connection starts exactly where the old one provably
-            // left off, preserving per-direction FIFO.
-            let resent = unacked.len();
-            let mut wrote = stream.write_all(&hello.encode_framed());
-            if wrote.is_ok() {
-                for (_, bytes) in &unacked {
-                    wrote = stream.write_all(bytes);
-                    if wrote.is_err() {
-                        break;
-                    }
-                }
-            }
-            let pump = wrote
-                .is_ok()
-                .then(|| stream.try_clone())
-                .and_then(Result::ok);
-            let Some(pump_stream) = pump else {
-                if events
-                    .send(down("handshake or replay failed".into()))
-                    .is_err()
-                {
-                    return;
-                }
-                let _ = stream.shutdown(Shutdown::Both);
-                std::thread::sleep(dial_retry);
-                continue 'link;
-            };
-            spawn_ack_pump(pump_stream, generation, self_tx.clone(), shutdown.clone());
-            if events
-                .send(Inbound::Link {
-                    peer,
-                    event: LinkEvent::Up { resent },
-                })
-                .is_err()
-            {
-                return;
-            }
-
-            loop {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let cmd = match rx.recv_timeout(heartbeat) {
-                    Ok(cmd) => cmd,
-                    Err(RecvTimeoutError::Timeout) => {
-                        if let Err(e) =
-                            stream.write_all(&Frame::Heartbeat { epoch }.encode_framed())
-                        {
-                            if events.send(down(format!("heartbeat write: {e}"))).is_err() {
-                                return;
-                            }
-                            let _ = stream.shutdown(Shutdown::Both);
-                            continue 'link;
-                        }
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => return,
-                };
-                match cmd {
-                    WriterCmd::Ack { seq, .. } => {
-                        // Cumulative acks are monotone, so even one from a
-                        // dead generation's pump safely prunes the window.
-                        while unacked.front().is_some_and(|(s, _)| *s <= seq) {
-                            unacked.pop_front();
-                        }
-                    }
-                    WriterCmd::Fenced {
-                        generation: g,
-                        expected,
-                    } if g == generation => {
-                        let _ = events.send(Inbound::Link {
-                            peer,
-                            event: LinkEvent::Fenced { expected },
-                        });
-                        let _ = stream.shutdown(Shutdown::Both);
-                        return;
-                    }
-                    WriterCmd::Fenced { .. } => {}
-                    WriterCmd::ConnLost { generation: g } if g == generation => {
-                        if events
-                            .send(down("peer closed the connection".into()))
-                            .is_err()
-                        {
-                            return;
-                        }
-                        let _ = stream.shutdown(Shutdown::Both);
-                        continue 'link;
-                    }
-                    WriterCmd::ConnLost { .. } => {}
-                    WriterCmd::Drop => {
-                        let _ = stream.shutdown(Shutdown::Both);
-                        if events.send(down("admin-injected drop".into())).is_err() {
-                            return;
-                        }
-                        continue 'link;
-                    }
-                    WriterCmd::Frame(frame) => {
-                        // A frame over the receiver's size limit is split
-                        // into halves (batch payloads only) until every
-                        // piece fits; pieces are sequenced in final order,
-                        // so per-direction FIFO — and therefore
-                        // exactly-once delivery — is preserved.
-                        let mut fresh: Vec<(u64, Vec<u8>)> = Vec::with_capacity(1);
-                        let mut worklist = VecDeque::from([frame]);
-                        while let Some(frame) = worklist.pop_front() {
-                            let (seq, frame) = match frame {
-                                Frame::Message {
-                                    from,
-                                    to,
-                                    delay_micros,
-                                    seq: _,
-                                    message,
-                                } => {
-                                    let seq = next_seq;
-                                    next_seq += 1;
-                                    (
-                                        seq,
-                                        Frame::Message {
-                                            from,
-                                            to,
-                                            delay_micros,
-                                            seq,
-                                            message,
-                                        },
-                                    )
-                                }
-                                other => (0, other),
-                            };
-                            let bytes = frame.encode_framed();
-                            if bytes.len() > MAX_FRAME_LEN as usize + FRAME_HEADER_LEN {
-                                match split_frame(frame) {
-                                    Some((first, second)) => {
-                                        worklist.push_front(second);
-                                        worklist.push_front(first);
-                                        continue;
-                                    }
-                                    None => {
-                                        // An unsplittable message the peer
-                                        // is guaranteed to reject: the link
-                                        // cannot honour its error-free
-                                        // contract any more — fail it
-                                        // loudly rather than silently
-                                        // dropping one message.
-                                        let _ = events.send(Inbound::Link {
-                                            peer,
-                                            event: LinkEvent::Failed {
-                                                reason: format!(
-                                                    "unsplittable frame of {} bytes exceeds \
-                                                     the {MAX_FRAME_LEN} payload limit",
-                                                    bytes.len()
-                                                ),
-                                            },
-                                        });
-                                        return;
-                                    }
-                                }
-                            }
-                            fresh.push((seq, bytes));
-                        }
-                        let mut broke: Option<std::io::Error> = None;
-                        for (seq, bytes) in fresh {
-                            if broke.is_none() {
-                                if let Err(e) = stream.write_all(&bytes) {
-                                    broke = Some(e);
-                                } else if seq > 0 {
-                                    frames_written += 1;
-                                }
-                            }
-                            if seq > 0 {
-                                unacked.push_back((seq, bytes));
-                            }
-                        }
-                        if unacked.len() > resend_window {
-                            let _ = events.send(Inbound::Link {
-                                peer,
-                                event: LinkEvent::Failed {
-                                    reason: format!(
-                                        "resend window overflow: {} unacked frames exceed \
-                                         the limit of {resend_window}",
-                                        unacked.len()
-                                    ),
-                                },
-                            });
-                            let _ = stream.shutdown(Shutdown::Both);
-                            return;
-                        }
-                        if let Some(e) = broke {
-                            if events.send(down(format!("write failed: {e}"))).is_err() {
-                                return;
-                            }
-                            let _ = stream.shutdown(Shutdown::Both);
-                            continue 'link;
-                        }
-                        if let Some(plan) = fault {
-                            if frames_written >= plan.drop_after_frames {
-                                if plan.once {
-                                    fault = None;
-                                } else {
-                                    frames_written = 0;
-                                }
-                                let _ = stream.shutdown(Shutdown::Both);
-                                if events.send(down("fault-injected drop".into())).is_err() {
-                                    return;
-                                }
-                                continue 'link;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    })
 }
 
 /// Splits an oversized frame into two halves when its message is a batch
@@ -767,8 +939,8 @@ fn split_frame(frame: Frame) -> Option<(Frame, Frame)> {
     else {
         return None;
     };
-    // Halves are re-sequenced by the writer when they are re-popped, so
-    // the placeholder 0 here is never written to a socket.
+    // Halves are sequenced by `Outbound::push` as it encodes them, so the
+    // placeholder 0 here is never written to a socket.
     let remake = |message: Message| Frame::Message {
         from,
         to,
@@ -822,11 +994,16 @@ fn split_frame(frame: Frame) -> Option<(Frame, Frame)> {
 ///
 /// The reader enforces the self-healing contract for its direction:
 /// sequenced messages are checked against the shared [`LinkRegistry`]
-/// (duplicates are suppressed but still acknowledged), one cumulative
-/// [`Frame::Ack`] is written back per decoded batch, and a `Hello` whose
+/// (duplicates are suppressed but still acknowledged), and a `Hello` whose
 /// restart epoch regresses the registry is answered with [`Frame::Fenced`]
 /// and the connection closed.  An established connection is torn down the
 /// same way as soon as a newer incarnation of its peer introduces itself.
+///
+/// Acknowledgements are cumulative and delayed: one [`Frame::Ack`] once
+/// [`ACK_EVERY`] sequenced frames have arrived since the last, or once the
+/// stream pauses for [`ACK_DELAY`] with one owed.  The pause is the socket
+/// read timeout, shortened from [`READ_POLL`] only while an ack is owed and
+/// restored by the first timeout that finds none.
 pub(crate) fn spawn_reader(
     stream: TcpStream,
     tx: Sender<Inbound>,
@@ -844,6 +1021,19 @@ pub(crate) fn spawn_reader(
         // to fence a zombie connection when its peer's epoch is superseded
         // (admin connections never say Hello and stay anonymous).
         let mut conn: Option<(NodeId, u64)> = None;
+        // While an ack is owed: the direction to acknowledge, and how many
+        // sequenced frames (duplicates included — the sender prunes its
+        // window either way) arrived since the last one.
+        let mut owed: Option<((NodeId, NodeId), u32)> = None;
+        let mut short_timeout = false;
+        let registry = &*registry;
+        let acknowledge = |stream: &mut TcpStream, (from, to): (NodeId, NodeId)| {
+            let high = registry.recv_high(from.index(), to.index());
+            // An ack write failure is not fatal here: if the connection is
+            // dying the read path notices next.
+            let _ = stream.write_all(&Frame::Ack { seq: high }.encode_framed());
+            registry.acks_out.fetch_add(1, Ordering::Relaxed);
+        };
         loop {
             if shutdown.load(Ordering::SeqCst) {
                 return;
@@ -867,22 +1057,22 @@ pub(crate) fn spawn_reader(
             let n = match stream.read(&mut chunk) {
                 Ok(0) => return, // EOF
                 Ok(n) => n,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
+                Err(e) if timed_out(&e) => {
+                    // The stream paused: settle the ack owed, if any, and
+                    // go back to the long poll.
+                    if let Some((direction, _)) = owed.take() {
+                        acknowledge(&mut stream, direction);
+                    }
+                    if short_timeout {
+                        let _ = stream.set_read_timeout(Some(READ_POLL));
+                        short_timeout = false;
+                    }
                     continue;
                 }
                 Err(_) => return, // broken pipe
             };
             buf.extend_from_slice(&chunk[..n]);
             let mut consumed = 0;
-            // The direction to acknowledge after this batch, if any
-            // sequenced message arrived (duplicates included — the sender
-            // prunes its window either way).
-            let mut ack_for: Option<(NodeId, NodeId)> = None;
             loop {
                 let frame = match Frame::decode_framed(&buf[consumed..]) {
                     Ok((frame, used)) => {
@@ -964,7 +1154,7 @@ pub(crate) fn spawn_reader(
                         message,
                     } => {
                         if seq > 0 {
-                            ack_for = Some((from, to));
+                            owed = Some(((from, to), owed.map_or(1, |(_, n)| n + 1)));
                             if !registry.accept_seq(from.index(), to.index(), seq) {
                                 // A replay of a frame that did arrive
                                 // before the reconnect: suppress it, but
@@ -987,11 +1177,16 @@ pub(crate) fn spawn_reader(
                     return; // driver gone
                 }
             }
-            if let Some((from, to)) = ack_for {
-                let high = registry.recv_high(from.index(), to.index());
-                // An ack write failure is not fatal here: if the
-                // connection is dying the read path notices next.
-                let _ = stream.write_all(&Frame::Ack { seq: high }.encode_framed());
+            match owed {
+                Some((direction, n)) if n >= ACK_EVERY => {
+                    acknowledge(&mut stream, direction);
+                    owed = None;
+                }
+                Some(_) if !short_timeout => {
+                    let _ = stream.set_read_timeout(Some(ACK_DELAY));
+                    short_timeout = true;
+                }
+                _ => {}
             }
             buf.drain(..consumed);
         }
@@ -1034,7 +1229,6 @@ mod tests {
     use super::*;
     use rebeca_broker::{ClientId, Envelope};
     use rebeca_filter::Notification;
-    use std::sync::mpsc::channel;
 
     fn envelope(seq: u64) -> Envelope {
         Envelope::new(
@@ -1145,15 +1339,10 @@ mod tests {
         assert_eq!(registry.current_epoch(0), 1);
     }
 
-    #[test]
-    fn resend_window_overflow_fails_the_link_loudly() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let port = listener.local_addr().unwrap().port();
-        let (cmd_tx, cmd_rx) = channel();
-        let (ev_tx, ev_rx) = channel();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let cfg = LinkConfig {
+    fn config(port: u16, resend_window: usize, fault: Option<FaultPlan>) -> LinkConfig {
+        LinkConfig {
             target: Endpoint::new("127.0.0.1", port),
+            local: NodeId::new(0),
             peer: NodeId::new(1),
             hello: Frame::Hello {
                 from: NodeId::new(0),
@@ -1162,50 +1351,330 @@ mod tests {
                 listen: Endpoint::new("127.0.0.1", 1),
                 delay: DelayModel::Constant(0),
             },
-            heartbeat: Duration::from_secs(5),
+            write_timeout: Duration::from_secs(5),
             dial_retry: Duration::from_millis(10),
             redial_max: Duration::from_millis(100),
-            resend_window: 4,
+            resend_window,
             epoch: 0,
-            fault: None,
-        };
-        let handle = spawn_writer(cfg, cmd_rx, cmd_tx.clone(), ev_tx, shutdown.clone());
-        // Accept the connection but never acknowledge anything.
-        let (_conn, _) = listener.accept().expect("accept");
-        for i in 0..6u32 {
-            cmd_tx
-                .send(WriterCmd::Frame(frame(Message::Attach {
-                    client: ClientId::new(i),
-                })))
-                .expect("queue frame");
+            fault,
         }
-        let mut saw_up = false;
-        loop {
-            match ev_rx.recv_timeout(Duration::from_secs(10)) {
-                Ok(Inbound::Link {
-                    event: LinkEvent::Up { resent },
+    }
+
+    fn outbound(resend_window: usize, fault: Option<FaultPlan>) -> Outbound {
+        Outbound::new(&config(1, resend_window, fault))
+    }
+
+    fn attach(i: u32) -> Message {
+        Message::Attach {
+            client: ClientId::new(i),
+        }
+    }
+
+    fn enqueue_attaches(out: &mut Outbound, clients: std::ops::Range<u32>) {
+        for i in clients {
+            out.enqueue(7, attach(i)).expect("frame accepted");
+        }
+    }
+
+    /// A socket that records every `write` call it receives.
+    #[derive(Default)]
+    struct Wire(Vec<Vec<u8>>);
+
+    impl Write for Wire {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn decode_all(mut bytes: &[u8]) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        while !bytes.is_empty() {
+            let (frame, used) = Frame::decode_framed(bytes).expect("whole frames only");
+            frames.push(frame);
+            bytes = &bytes[used..];
+        }
+        frames
+    }
+
+    /// The sequence numbers of the message frames in one recorded write.
+    fn seqs(bytes: &[u8]) -> Vec<u64> {
+        decode_all(bytes)
+            .iter()
+            .filter_map(|f| match f {
+                Frame::Message { seq, .. } => Some(*seq),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn split_halves_are_sequenced_in_final_order() {
+        let mut out = outbound(1024, None);
+        // Room for a batch of two envelopes, not three: a batch of eight
+        // splits twice, into four frames.
+        let pair = frame(Message::NotificationBatch(vec![envelope(1), envelope(2)]));
+        out.max_frame = pair.encode_framed().len() + 8;
+        out.enqueue(7, attach(1)).unwrap();
+        out.enqueue(
+            7,
+            Message::NotificationBatch((1..=8).map(envelope).collect()),
+        )
+        .unwrap();
+        out.enqueue(7, attach(2)).unwrap();
+
+        let (mut wire, mut metrics) = (Wire::default(), Metrics::new());
+        out.flush(&mut wire, &mut metrics).unwrap();
+        let frames = decode_all(&wire.0[0]);
+        assert_eq!(seqs(&wire.0[0]), vec![1, 2, 3, 4, 5, 6], "no gap, no reuse");
+        let mut published = Vec::new();
+        for f in &frames[1..5] {
+            match f {
+                Frame::Message {
+                    from,
+                    to,
+                    delay_micros,
+                    message: Message::NotificationBatch(envelopes),
                     ..
-                }) => {
-                    assert_eq!(resent, 0, "first connection replays nothing");
-                    saw_up = true;
-                }
-                Ok(Inbound::Link {
-                    event: LinkEvent::Failed { reason },
-                    ..
-                }) => {
-                    assert!(
-                        reason.contains("resend window overflow"),
-                        "unexpected failure: {reason}"
+                } => {
+                    assert_eq!(
+                        (*from, *to, *delay_micros),
+                        (NodeId::new(0), NodeId::new(1), 7)
                     );
-                    break;
+                    assert_eq!(envelopes.len(), 2);
+                    published.extend(envelopes.iter().map(|e| e.publisher_seq));
                 }
-                Ok(_) => {}
-                Err(e) => panic!("no loud failure before timeout: {e}"),
+                other => panic!("expected a batch piece, got {other:?}"),
             }
         }
-        assert!(saw_up, "the link came up before overflowing");
+        assert_eq!(published, (1..=8).collect::<Vec<u64>>());
+        assert!(matches!(
+            &frames[5],
+            Frame::Message {
+                message: Message::Attach { .. },
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn everything_a_turn_enqueues_leaves_in_one_write() {
+        let mut out = outbound(1024, None);
+        enqueue_attaches(&mut out, 0..64);
+        let (mut wire, mut metrics) = (Wire::default(), Metrics::new());
+        out.flush(&mut wire, &mut metrics).unwrap();
+        assert_eq!(wire.0.len(), 1, "64 frames, one write");
+        assert_eq!(seqs(&wire.0[0]), (1..=64).collect::<Vec<u64>>());
+        assert_eq!(metrics.counter("net.socket_writes"), 1);
+        // Nothing new: the next flush does not touch the socket.
+        out.flush(&mut wire, &mut metrics).unwrap();
+        assert_eq!(wire.0.len(), 1);
+        assert_eq!(metrics.counter("net.socket_writes"), 1);
+    }
+
+    #[test]
+    fn fault_plan_fires_at_the_write_that_reaches_its_count() {
+        let mut out = outbound(1024, Some(FaultPlan::drop_after(3).recurring()));
+        let (mut wire, mut metrics) = (Wire::default(), Metrics::new());
+        enqueue_attaches(&mut out, 0..2);
+        assert!(!out.flush(&mut wire, &mut metrics).unwrap());
+        enqueue_attaches(&mut out, 2..3);
+        assert!(out.flush(&mut wire, &mut metrics).unwrap(), "third frame");
+
+        // The replay on the next connection is not fresh traffic: it must
+        // not fire the plan again, or a link could never make progress.
+        let mut wire = Wire::default();
+        assert_eq!(out.hello(&mut wire, &mut metrics).unwrap(), 3);
+        assert!(!out.flush(&mut wire, &mut metrics).unwrap());
+        assert_eq!(seqs(&wire.0[1]), vec![1, 2, 3]);
+
+        // Recurring: three fresh frames later it fires again — here they
+        // arrive in one turn of five, and the plan fires at that write.
+        enqueue_attaches(&mut out, 3..5);
+        assert!(!out.flush(&mut wire, &mut metrics).unwrap());
+        enqueue_attaches(&mut out, 5..10);
+        assert!(out.flush(&mut wire, &mut metrics).unwrap());
+
+        // A one-shot plan is spent after its first drop.
+        let mut once = outbound(1024, Some(FaultPlan::drop_after(1)));
+        enqueue_attaches(&mut once, 0..1);
+        assert!(once.flush(&mut wire, &mut metrics).unwrap());
+        enqueue_attaches(&mut once, 1..4);
+        assert!(!once.flush(&mut wire, &mut metrics).unwrap());
+        // A plan for another peer never applies.
+        let mut other = outbound(1024, Some(FaultPlan::drop_after(1).on_peer(9)));
+        enqueue_attaches(&mut other, 0..4);
+        assert!(!other.flush(&mut wire, &mut metrics).unwrap());
+    }
+
+    #[test]
+    fn a_new_connection_carries_hello_then_exactly_the_unacknowledged_suffix() {
+        let mut out = outbound(1024, None);
+        let mut metrics = Metrics::new();
+        // Frames enqueued before the first connection wait in the window:
+        // the handshake goes first and nothing counts as resent.
+        enqueue_attaches(&mut out, 0..5);
+        let mut first = Wire::default();
+        assert_eq!(out.hello(&mut first, &mut metrics).unwrap(), 0);
+        out.flush(&mut first, &mut metrics).unwrap();
+        assert!(matches!(decode_all(&first.0[0])[..], [Frame::Hello { .. }]));
+        assert_eq!(seqs(&first.0[1]), vec![1, 2, 3, 4, 5]);
+
+        // The peer acknowledged 1-2; the connection dies; two more frames
+        // are enqueued while the link is down.
+        out.acked.store(2, Ordering::Relaxed);
+        enqueue_attaches(&mut out, 5..7);
+
+        let mut second = Wire::default();
+        let resent = out.hello(&mut second, &mut metrics).unwrap();
+        assert_eq!(resent, 3, "3-5 were written before; 6-7 are not resends");
+        out.flush(&mut second, &mut metrics).unwrap();
+        out.flush(&mut second, &mut metrics).unwrap();
+        assert_eq!(second.0.len(), 2, "the handshake, then one replay write");
+        assert!(matches!(
+            decode_all(&second.0[0])[..],
+            [Frame::Hello { .. }]
+        ));
+        assert_eq!(seqs(&second.0[1]), vec![3, 4, 5, 6, 7], "each exactly once");
+
+        // Everything acknowledged: a third connection replays nothing.
+        out.acked.store(7, Ordering::Relaxed);
+        let mut third = Wire::default();
+        assert_eq!(out.hello(&mut third, &mut metrics).unwrap(), 0);
+        out.flush(&mut third, &mut metrics).unwrap();
+        assert_eq!(third.0.len(), 1, "the handshake only");
+        assert_eq!(metrics.counter("net.socket_writes"), 5);
+    }
+
+    /// Regression: acknowledgements used to queue behind the frames they
+    /// acknowledged, so a backlog deeper than the window failed a healthy
+    /// link at frame `window + 1` although the peer had acked everything.
+    #[test]
+    fn the_ack_mark_is_read_before_every_window_check() {
+        let mut out = outbound(4, None);
+        let (mut wire, mut metrics) = (Wire::default(), Metrics::new());
+        for round in 0..10u32 {
+            enqueue_attaches(&mut out, 4 * round..4 * round + 4);
+            out.flush(&mut wire, &mut metrics).unwrap();
+            assert_eq!(out.lens.len(), 4, "window full");
+            // The peer acknowledges the lot; nobody tells the link.
+            out.acked
+                .store(4 * (u64::from(round) + 1), Ordering::Relaxed);
+        }
+        // Window full again, and this time no ack: loud failure.
+        enqueue_attaches(&mut out, 40..44);
+        match out.enqueue(7, attach(44)) {
+            Err(Some(LinkEvent::Failed { reason })) => assert!(
+                reason.contains("resend window overflow: 5 unacked frames"),
+                "unexpected failure: {reason}"
+            ),
+            other => panic!("expected a loud failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_failed_or_fenced_link_refuses_every_later_frame() {
+        // Failed by an unsplittable oversized frame…
+        let mut out = outbound(1024, None);
+        out.max_frame = 16;
+        match out.enqueue(7, attach(1)) {
+            Err(Some(LinkEvent::Failed { reason })) => assert!(
+                reason.contains("unsplittable frame"),
+                "unexpected failure: {reason}"
+            ),
+            other => panic!("expected a loud failure, got {other:?}"),
+        }
+        out.max_frame = 1 << 20;
+        assert!(matches!(out.enqueue(7, attach(2)), Err(None)));
+        // …or closed by a fence.
+        let mut out = outbound(1024, None);
+        enqueue_attaches(&mut out, 0..3);
+        out.close();
+        assert!(matches!(out.enqueue(7, attach(3)), Err(None)));
+        assert!(!out.pending(), "a closed link has nothing left to write");
+    }
+
+    /// Regression: every write failure used to make the dialer back off, so
+    /// a connection the peer had reset stayed down a backoff longer than at
+    /// a read-side loss — long enough, under load, to overflow the window.
+    #[test]
+    fn only_a_write_timeout_makes_the_dialer_back_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let connect = || TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (redial, requests) = channel();
+        let mut link = Link {
+            out: outbound(1024, None),
+            heartbeat: Vec::new(),
+            conn: Some(connect()),
+            generation: 1,
+            last_write: Instant::now(),
+            redial,
+        };
+        let reset = std::io::Error::from(std::io::ErrorKind::ConnectionReset);
+        assert!(matches!(
+            link.write_failed("write", reset),
+            Some(LinkEvent::Down { .. })
+        ));
+        assert!(!requests.try_recv().expect("a redial request"), "at once");
+        link.conn = Some(connect());
+        let stalled = std::io::Error::from(std::io::ErrorKind::WouldBlock);
+        assert!(matches!(
+            link.write_failed("write", stalled),
+            Some(LinkEvent::Down { .. })
+        ));
+        assert!(requests.try_recv().expect("a redial request"), "backed off");
+    }
+
+    #[test]
+    fn resend_window_overflow_fails_the_link_loudly() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let port = listener.local_addr().unwrap().port();
+        let (ev_tx, ev_rx) = channel();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut link = Link::spawn(
+            config(port, 4, None),
+            ev_tx,
+            shutdown.clone(),
+            Arc::new(LinkRegistry::default()),
+        );
+        let mut metrics = Metrics::new();
+        // Accept the connection but never acknowledge anything.
+        let (mut peer, _) = listener.accept().expect("accept");
+        match ev_rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(Inbound::Conn {
+                generation, signal, ..
+            }) => match link.on_signal(generation, signal, &mut metrics) {
+                Some(LinkEvent::Up { resent }) => {
+                    assert_eq!(resent, 0, "first connection replays nothing")
+                }
+                other => panic!("the link did not come up: {other:?}"),
+            },
+            other => panic!("the dialer did not connect: {other:?}"),
+        }
+        for i in 0..4u32 {
+            link.enqueue(7, attach(i)).expect("within the window");
+            assert!(link.flush(&mut metrics).is_none());
+        }
+        match link.enqueue(7, attach(4)) {
+            Err(Some(LinkEvent::Failed { reason })) => assert!(
+                reason.contains("resend window overflow"),
+                "unexpected failure: {reason}"
+            ),
+            other => panic!("no loud failure: {other:?}"),
+        }
+        assert!(matches!(link.enqueue(7, attach(5)), Err(None)));
+        // The failed link hung up: the peer reads the handshake and the
+        // four frames, then EOF.
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut received = Vec::new();
+        peer.read_to_end(&mut received)
+            .expect("EOF after the failure");
+        assert_eq!(seqs(&received), vec![1, 2, 3, 4]);
         shutdown.store(true, Ordering::SeqCst);
-        drop(cmd_tx);
-        let _ = handle.join();
     }
 }

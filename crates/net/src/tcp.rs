@@ -7,10 +7,26 @@
 //! topology, so broker `i` is [`NodeId`] `i` everywhere; client nodes get
 //! ids above the broker range, allocated by the process that hosts them.
 //!
-//! The driver runs a single-threaded event loop over the local nodes
-//! (dispatch due events, harvest sends and timers), with per-connection
-//! reader/writer threads doing the blocking socket work (see
-//! [`link`](crate::link) module docs).  The event-ordering machinery —
+//! The driver runs a single-threaded event loop over the local nodes:
+//! dispatch due events, harvest sends and timers, encode each send straight
+//! into its link's outbound window, and write every link that has something
+//! to say **once per turn**.  Threads per process: the event loop, one
+//! acceptor, and per connection one reader (inbound) or one cold dialer +
+//! one cold ack pump (outbound) — no writer thread; see the
+//! [`link`](crate::link) module docs.
+//!
+//! *Flush discipline.*  Every send originates in a dispatch (the `Driver`
+//! trait has no other send site), so the loop flushes before every blocking
+//! wait, on leaving a phase, after the dispatch of a `step`, and every
+//! [`FLUSH_EVERY`] dispatches while it never goes idle: no frame sits in a
+//! buffer while the loop sleeps.  A peer cannot wedge the loop either:
+//! data sockets carry a write timeout of the liveness horizon (`heartbeat ×
+//! missed_heartbeats`), a write that errors or times out is a broken
+//! connection (redial, replay), and reader threads keep draining into the
+//! unbounded inbound channel independently of their loop, so two brokers
+//! writing to each other cannot deadlock.
+//!
+//! The event-ordering machinery —
 //! due-time heaps with insertion-order tie-break and the per-direction
 //! monotonic due-time clamp — is shared with
 //! [`ThreadedDriver`](rebeca_core::ThreadedDriver) via
@@ -51,14 +67,21 @@ use rebeca_sim::{Context, DelayModel, Incoming, Metrics, Node, NodeId, SimDurati
 
 use crate::endpoint::Endpoint;
 use crate::link::{
-    spawn_acceptor, spawn_writer, FaultPlan, Inbound, LinkConfig, LinkEvent, LinkRegistry,
-    WriterCmd,
+    spawn_acceptor, FaultPlan, Inbound, Link, LinkConfig, LinkEvent, LinkRegistry, ACK_EVERY,
 };
 use crate::wire::Frame;
 
 /// Upper bound on how long the event loop blocks waiting for network
 /// traffic before re-checking its deadlines.
 const MAX_WAIT: Duration = Duration::from_millis(1);
+
+/// Dispatches between two flushes while the loop never goes idle.
+const FLUSH_EVERY: u64 = 32;
+
+/// Smallest accepted `resend_window`: peers acknowledge every [`ACK_EVERY`]
+/// frames, so a window of only a few multiples of that would fail a healthy
+/// link under a steady stream.
+const MIN_RESEND_WINDOW: usize = 4 * ACK_EVERY as usize;
 
 /// Configuration of one process of a TCP deployment.
 #[derive(Debug, Clone)]
@@ -76,14 +99,14 @@ pub struct NetConfig {
     epoch: u64,
     /// Seed of the per-process link-delay sampling.
     seed: u64,
-    /// Idle interval after which a writer sends a heartbeat.
+    /// Idle interval after which a link sends a heartbeat.
     heartbeat: Duration,
     /// Interval between dial attempts while a peer process is not up yet.
     dial_retry: Duration,
     /// Backoff cap for redials after a connection loss (the backoff starts
     /// at `dial_retry` and doubles with jitter up to this cap).
     redial_max: Duration,
-    /// Maximum unacknowledged frames a writer holds for replay across a
+    /// Maximum unacknowledged frames a link holds for replay across a
     /// reconnect; overflow fails the link loudly instead of losing frames.
     resend_window: usize,
     /// Heartbeat intervals of silence after which an inbound link is
@@ -154,7 +177,10 @@ impl NetConfig {
         self
     }
 
-    /// Sets the writer-idle heartbeat interval.
+    /// Sets the link-idle heartbeat interval.  Heartbeats are written by
+    /// the event loop, so they mean "this process's loop is turning": see
+    /// the liveness note on [`TcpDriver`].  `interval × missed_heartbeats`
+    /// is also the write timeout of every data socket and must not be zero.
     pub fn heartbeat(mut self, interval: Duration) -> Self {
         self.heartbeat = interval;
         self
@@ -167,7 +193,8 @@ impl NetConfig {
     }
 
     /// Bounds the per-link resend window (unacknowledged frames held for
-    /// replay across reconnects).
+    /// replay across reconnects).  Peers acknowledge every 32 frames, so
+    /// [`TcpDriver::new`] rejects a window under 128.
     pub fn resend_window(mut self, frames: usize) -> Self {
         self.resend_window = frames;
         self
@@ -205,6 +232,15 @@ impl NetConfig {
 
 /// The TCP transport driver.  See the module docs for the deployment and
 /// execution model.
+///
+/// **Liveness needs a turning loop.**  There is no background writer: the
+/// handshake, the replay after a reconnect, idle heartbeats and the
+/// take-over of a redialled connection all happen inside `run_until` /
+/// `run_to_idle` / `step`.  An embedding application that publishes and
+/// then stops calling them goes silent, and its brokers report the link
+/// stale after `heartbeat × missed_heartbeats`; keep calling `run_until`
+/// (with nothing due it sleeps on the inbound channel) for as long as the
+/// process should count as alive.
 pub struct TcpDriver {
     cfg: NetConfig,
     /// The endpoint peers dial back (advertised in every Hello).
@@ -225,27 +261,33 @@ pub struct TcpDriver {
     /// Send-side clamp for local-to-local deliveries.
     clamp_local: FifoClamp<(NodeId, NodeId)>,
     pending: HashMap<usize, PendingQueue>,
-    /// Outbound connections: `(local node, peer node)` → command queue.
-    writers: HashMap<(usize, usize), Sender<WriterCmd>>,
+    /// Outbound links, `(local node, peer node)` → the loop-owned state.
+    links: HashMap<(usize, usize), Link>,
+    /// The links that took frames since the last
+    /// [`TcpDriver::flush_links`], in the order they first did: links are
+    /// written in send order, as the simulator delivers.
+    dirty: Vec<(usize, usize)>,
+    /// Fencing/dedup bookkeeping shared with the reader threads, and the
+    /// ack counters of the helper threads.
+    registry: Arc<LinkRegistry>,
     /// When each peer was last heard from (any frame on an inbound
     /// connection) — the source of `last_heartbeat_age_ms` in status
     /// reports.
     last_seen: HashMap<usize, Instant>,
-    /// Whether the outbound connection to a peer is currently established,
-    /// as reported by its writer thread.
+    /// Whether the outbound connection to a peer is currently established.
     link_up: HashMap<usize, bool>,
     /// Peers declared down by heartbeat silence (cleared as soon as any
     /// frame arrives from them again).
     stale_links: HashSet<usize>,
     /// When each currently-down peer link went down (either direction).
     down_since: HashMap<usize, Instant>,
-    /// Lifetime redial attempts per peer, as reported by writer threads.
+    /// Lifetime redial attempts per peer, as reported by the dialers.
     redials: HashMap<usize, u64>,
     /// Next wall-clock instant at which heartbeat-silence liveness is
     /// re-evaluated (throttled to the heartbeat cadence).
     next_liveness: Instant,
-    /// A handle on the inbound event channel, handed to writer threads so
-    /// they can report link state transitions.
+    /// A handle on the inbound event channel, handed to dialers and ack
+    /// pumps so they can report on their connections.
     incoming_tx: Sender<Inbound>,
     incoming_rx: Receiver<Inbound>,
     clock: WallClock,
@@ -270,8 +312,25 @@ impl TcpDriver {
     /// configured endpoints: the process has exactly one listener, so peers
     /// resolving any hosted broker must all arrive at the same address
     /// (otherwise their dial-retry loops would spin forever against an
-    /// endpoint nobody serves).
+    /// endpoint nobody serves).  A `resend_window` under 128 frames is
+    /// rejected as well (acknowledgements arrive every 32 frames), and so
+    /// is a zero `heartbeat × missed_heartbeats`: that product is the write
+    /// timeout of every data socket, and a socket without one could wedge
+    /// the event loop on a peer that never reads.
     pub fn new(cfg: NetConfig) -> std::io::Result<Self> {
+        if cfg.resend_window < MIN_RESEND_WINDOW {
+            return Err(std::io::Error::other(format!(
+                "resend_window {} is below the floor of {MIN_RESEND_WINDOW} frames \
+                 (peers acknowledge every {ACK_EVERY} frames)",
+                cfg.resend_window
+            )));
+        }
+        if (cfg.heartbeat * cfg.missed_heartbeats).is_zero() {
+            return Err(std::io::Error::other(
+                "heartbeat × missed_heartbeats is zero: it is the liveness horizon and \
+                 the socket write timeout, and a socket cannot time out after no time",
+            ));
+        }
         if let Some(&bad) = cfg.local.iter().find(|&&i| i >= cfg.endpoints.len()) {
             return Err(std::io::Error::other(format!(
                 "hosted broker index {bad} is outside the cluster \
@@ -317,7 +376,12 @@ impl TcpDriver {
         // Shared fencing/dedup bookkeeping of every reader thread: newest
         // epoch per peer, receive high-water mark per direction.
         let registry = Arc::new(LinkRegistry::default());
-        let acceptor = spawn_acceptor(listener, incoming_tx.clone(), shutdown.clone(), registry);
+        let acceptor = spawn_acceptor(
+            listener,
+            incoming_tx.clone(),
+            shutdown.clone(),
+            registry.clone(),
+        );
         let seed = cfg.seed;
         Ok(Self {
             cfg,
@@ -331,7 +395,9 @@ impl TcpDriver {
             clamp_in: FifoClamp::new(),
             clamp_local: FifoClamp::new(),
             pending: HashMap::new(),
-            writers: HashMap::new(),
+            links: HashMap::new(),
+            dirty: Vec::new(),
+            registry,
             last_seen: HashMap::new(),
             link_up: HashMap::new(),
             stale_links: HashSet::new(),
@@ -377,46 +443,46 @@ impl TcpDriver {
             .or_else(|| self.learned.get(&peer).cloned())
     }
 
-    /// Returns the writer channel for `(local, peer)`, spawning the
-    /// dial-and-pump thread on first use.  `None` while the peer's endpoint
-    /// is still unknown (a client that has not dialled in yet).
-    fn writer_for(&mut self, local: usize, peer: NodeId) -> Option<&Sender<WriterCmd>> {
+    /// Returns the outbound link `(local, peer)`, creating it (and its
+    /// dialer thread) on first use.  `None` while the peer's endpoint is
+    /// still unknown (a client that has not dialled in yet).
+    fn link_for(&mut self, local: usize, peer: NodeId) -> Option<&mut Link> {
         let key = (local, peer.index());
-        if !self.writers.contains_key(&key) {
+        if !self.links.contains_key(&key) {
             let target = self.endpoint_of(peer.index())?;
+            let local = NodeId::new(local);
             let delay = self
                 .delays
-                .get(&(NodeId::new(local), peer))
+                .get(&(local, peer))
                 .copied()
                 .unwrap_or(DelayModel::Constant(0));
             let hello = Frame::Hello {
-                from: NodeId::new(local),
+                from: local,
                 to: peer,
                 epoch: self.cfg.epoch,
                 listen: self.advertised.clone(),
                 delay,
             };
-            let (tx, rx) = channel();
-            spawn_writer(
+            let link = Link::spawn(
                 LinkConfig {
                     target,
+                    local,
                     peer,
                     hello,
-                    heartbeat: self.cfg.heartbeat,
+                    write_timeout: self.cfg.heartbeat * self.cfg.missed_heartbeats,
                     dial_retry: self.cfg.dial_retry,
                     redial_max: self.cfg.redial_max,
                     resend_window: self.cfg.resend_window,
                     epoch: self.cfg.epoch,
                     fault: self.cfg.fault,
                 },
-                rx,
-                tx.clone(),
                 self.incoming_tx.clone(),
                 self.shutdown.clone(),
+                self.registry.clone(),
             );
-            self.writers.insert(key, tx);
+            self.links.insert(key, link);
         }
-        self.writers.get(&key)
+        self.links.get_mut(&key)
     }
 
     fn handle_inbound(&mut self, inbound: Inbound) {
@@ -480,74 +546,21 @@ impl TcpDriver {
                     );
                 }
             }
-            Inbound::Link { peer, event } => {
-                let p = peer.index();
-                let now = self.clock.now();
-                match event {
-                    LinkEvent::Up { resent } => {
-                        self.link_up.insert(p, true);
-                        if !self.stale_links.contains(&p) {
-                            self.down_since.remove(&p);
-                        }
-                        self.metrics.incr("net.link_up");
-                        if resent > 0 {
-                            self.metrics.add("net.frames_resent", resent as u64);
-                        }
-                        if self.metrics.journal_enabled() {
-                            self.metrics.record_event(
-                                now,
-                                "link.up",
-                                format!("peer={peer} resent={resent}"),
-                            );
-                        }
-                    }
-                    LinkEvent::Down { reason } => {
-                        self.link_up.insert(p, false);
-                        self.down_since.entry(p).or_insert_with(Instant::now);
-                        self.metrics.incr("net.link_down");
-                        if self.metrics.journal_enabled() {
-                            self.metrics.record_event(
-                                now,
-                                "link.drop",
-                                format!("peer={peer} reason={reason}"),
-                            );
-                        }
-                    }
-                    LinkEvent::Redial { attempt } => {
-                        self.redials.insert(p, attempt);
-                        self.metrics.incr("net.link_redial");
-                        if self.metrics.journal_enabled() {
-                            self.metrics.record_event(
-                                now,
-                                "link.redial",
-                                format!("peer={peer} attempt={attempt}"),
-                            );
-                        }
-                    }
-                    LinkEvent::Fenced { expected } => {
-                        self.link_up.insert(p, false);
-                        self.down_since.entry(p).or_insert_with(Instant::now);
-                        self.metrics.incr("net.link_fenced");
-                        if self.metrics.journal_enabled() {
-                            self.metrics.record_event(
-                                now,
-                                "link.fenced",
-                                format!("peer={peer} expected_epoch={expected} side=writer"),
-                            );
-                        }
-                    }
-                    LinkEvent::Failed { reason } => {
-                        self.link_up.insert(p, false);
-                        self.down_since.entry(p).or_insert_with(Instant::now);
-                        self.metrics.incr("net.link_failed");
-                        if self.metrics.journal_enabled() {
-                            self.metrics.record_event(
-                                now,
-                                "link.failed",
-                                format!("peer={peer} reason={reason}"),
-                            );
-                        }
-                    }
+            Inbound::Conn {
+                local,
+                peer,
+                generation,
+                signal,
+            } => {
+                let Some(link) = self.links.get_mut(&(local.index(), peer.index())) else {
+                    return;
+                };
+                let event = link.on_signal(generation, signal, &mut self.metrics);
+                // On a fresh connection this is the replay; otherwise a
+                // no-op.
+                let replay = link.flush(&mut self.metrics);
+                for event in [event, replay].into_iter().flatten() {
+                    self.note_link(peer, event);
                 }
             }
             Inbound::Stale {
@@ -578,14 +591,15 @@ impl TcpDriver {
                     self.metrics
                         .record_event(now, "link.admin_drop", format!("peer={peer}"));
                 }
-                let targets: Vec<_> = self
-                    .writers
-                    .iter()
+                // The links redial and replay as if the socket had broken.
+                let dropped: Vec<LinkEvent> = self
+                    .links
+                    .iter_mut()
                     .filter(|(key, _)| key.1 == peer.index())
-                    .map(|(_, tx)| tx.clone())
+                    .filter_map(|(_, link)| link.lose("admin-injected drop".into(), false))
                     .collect();
-                for tx in targets {
-                    let _ = tx.send(WriterCmd::Drop);
+                for event in dropped {
+                    self.note_link(peer, event);
                 }
             }
             Inbound::Status {
@@ -593,6 +607,7 @@ impl TcpDriver {
                 events_after,
             } => {
                 self.metrics.incr("net.status_requests");
+                self.fold_ack_counts();
                 let report = self.status_report(events_after);
                 // Best effort: a requester that hung up mid-flight loses
                 // its own report, nothing else.
@@ -616,6 +631,53 @@ impl TcpDriver {
                     self.metrics.incr("net.trace_reply_failed");
                 }
             }
+        }
+    }
+
+    /// Books one state transition of the outbound link towards `peer`:
+    /// liveness bookkeeping, `net.link_*` counter, journal.
+    fn note_link(&mut self, peer: NodeId, event: LinkEvent) {
+        let p = peer.index();
+        let (counter, kind, detail) = match event {
+            LinkEvent::Up { resent } => {
+                self.link_up.insert(p, true);
+                if !self.stale_links.contains(&p) {
+                    self.down_since.remove(&p);
+                }
+                if resent > 0 {
+                    self.metrics.add("net.frames_resent", resent as u64);
+                }
+                ("net.link_up", "link.up", format!("resent={resent}"))
+            }
+            LinkEvent::Redial { attempt } => {
+                self.redials.insert(p, attempt);
+                (
+                    "net.link_redial",
+                    "link.redial",
+                    format!("attempt={attempt}"),
+                )
+            }
+            LinkEvent::Down { reason } => {
+                ("net.link_down", "link.drop", format!("reason={reason}"))
+            }
+            LinkEvent::Fenced { expected } => (
+                "net.link_fenced",
+                "link.fenced",
+                format!("expected_epoch={expected} side=writer"),
+            ),
+            LinkEvent::Failed { reason } => {
+                ("net.link_failed", "link.failed", format!("reason={reason}"))
+            }
+        };
+        if matches!(kind, "link.drop" | "link.fenced" | "link.failed") {
+            self.link_up.insert(p, false);
+            self.down_since.entry(p).or_insert_with(Instant::now);
+        }
+        self.metrics.incr(counter);
+        if self.metrics.journal_enabled() {
+            let now = self.clock.now();
+            self.metrics
+                .record_event(now, kind, format!("peer={peer} {detail}"));
         }
     }
 
@@ -727,15 +789,28 @@ impl TcpDriver {
         }
     }
 
-    /// Declares links to silent peers down: a peer we have not heard from
-    /// for more than `heartbeat × missed_heartbeats` is marked stale until
-    /// it speaks again. Throttled to the heartbeat cadence.
+    /// Heartbeat liveness in both directions, throttled to the heartbeat
+    /// cadence.  Outbound: every connected link that has written nothing
+    /// for half an interval gets a heartbeat (so a peer hears from a healthy
+    /// link at least every 1.5 intervals) — written by the links' single
+    /// owner, so one can never interleave with a data flush.  Inbound: a
+    /// peer we have not heard from for more than `heartbeat ×
+    /// missed_heartbeats` is marked stale until it speaks again.
     fn check_liveness(&mut self) {
         let now = Instant::now();
         if now < self.next_liveness {
             return;
         }
         self.next_liveness = now + self.cfg.heartbeat;
+        let idle = self.cfg.heartbeat / 2;
+        let mut lost = Vec::new();
+        for (key, link) in &mut self.links {
+            let event = link.keep_alive(now, idle, &mut self.metrics);
+            lost.extend(event.map(|event| (NodeId::new(key.1), event)));
+        }
+        for (peer, event) in lost {
+            self.note_link(peer, event);
+        }
         let limit = self.cfg.heartbeat * self.cfg.missed_heartbeats;
         let newly_stale: Vec<usize> = self
             .last_seen
@@ -761,7 +836,7 @@ impl TcpDriver {
     }
 
     /// Link liveness for one hosted broker: its neighbours, with connection
-    /// state from the writer threads and freshness from inbound traffic.
+    /// state from the outbound links and freshness from inbound traffic.
     fn links_of(&self, index: usize) -> Vec<LinkStatus> {
         self.neighbours
             .get(&index)
@@ -812,13 +887,52 @@ impl TcpDriver {
         self.check_liveness();
     }
 
+    /// Writes every link that took frames since the last flush — one
+    /// `write` per link, however many frames the turn produced.
+    fn flush_links(&mut self) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for key in dirty.drain(..) {
+            let lost = self
+                .links
+                .get_mut(&key)
+                .and_then(|link| link.flush(&mut self.metrics));
+            if let Some(event) = lost {
+                self.note_link(NodeId::new(key.1), event);
+            }
+        }
+        self.dirty = dirty;
+    }
+
+    /// Leaves the event loop: nothing stays buffered, and the metrics are
+    /// complete.
+    fn leave_loop(&mut self) {
+        self.flush_links();
+        self.fold_ack_counts();
+    }
+
+    /// Folds the ack counts the helper threads kept into the metrics (they
+    /// have no `Metrics` of their own): whenever the loop is left, and
+    /// before a status report is built inside it.
+    fn fold_ack_counts(&mut self) {
+        for (name, counter) in [
+            ("net.acks_out", &self.registry.acks_out),
+            ("net.acks_in", &self.registry.acks_in),
+        ] {
+            let n = counter.swap(0, Ordering::Relaxed);
+            if n > 0 {
+                self.metrics.add(name, n);
+            }
+        }
+    }
+
     /// The earliest due time over every local pending event.
     fn next_due(&self) -> Option<SimTime> {
         self.pending.values().filter_map(|q| q.next_due()).min()
     }
 
-    /// Routes one harvested send: straight into a local queue, or framed
-    /// onto the peer's connection.
+    /// Routes one harvested send: straight into a local queue, or sequenced
+    /// and encoded into the peer link's outbound window (written at the
+    /// next flush).
     fn send_from(&mut self, from: usize, to: NodeId, at: SimTime, message: rebeca_broker::Message) {
         let from_id = NodeId::new(from);
         let delay = self
@@ -841,29 +955,26 @@ impl TcpDriver {
                 );
         } else {
             self.record_link_span("link.tx", from as u64, from_id, to, &message);
-            let frame = Frame::Message {
-                from: from_id,
-                to,
-                delay_micros: delay.as_micros(),
-                // The writer thread assigns the real per-direction sequence
-                // number when it pops the frame for transmission.
-                seq: 0,
-                message,
+            let Some(link) = self.link_for(from, to) else {
+                self.metrics.incr("net.frames_unroutable");
+                return;
             };
-            match self.writer_for(from, to) {
-                Some(tx) => {
-                    // A send only fails when the writer thread is gone for
-                    // good: driver teardown, a fenced link, or a resend
-                    // window overflow. Transient disconnects never reject
-                    // sends — the writer queues and replays them itself.
-                    if tx.send(WriterCmd::Frame(frame)).is_ok() {
-                        self.metrics.incr("net.frames_out");
-                    } else {
-                        self.metrics.incr("net.frames_dropped");
+            // A link only refuses a frame when it is closed for good: fenced,
+            // or failed (by this very frame, in which case it says so).
+            // Transient disconnects never reject sends — the frame waits in
+            // the window and leaves with the replay.
+            match link.enqueue(delay.as_micros(), message) {
+                Ok(first_unwritten) => {
+                    if first_unwritten {
+                        self.dirty.push((from, to.index()));
                     }
+                    self.metrics.incr("net.frames_out");
                 }
-                None => {
-                    self.metrics.incr("net.frames_unroutable");
+                Err(failed) => {
+                    self.metrics.incr("net.frames_dropped");
+                    if let Some(event) = failed {
+                        self.note_link(to, event);
+                    }
                 }
             }
         }
@@ -923,11 +1034,16 @@ impl TcpDriver {
             if let Some((due, index)) = due_node {
                 if due <= now && self.dispatch(index, now) {
                     processed += 1;
+                    if processed % FLUSH_EVERY == 0 {
+                        self.flush_links();
+                    }
                     continue;
                 }
             }
-            // Nothing due: wait for network traffic, capped by the next
-            // local deadline and the phase deadline.
+            // Nothing due: write what the turn produced, then wait for
+            // network traffic, capped by the next local deadline and the
+            // phase deadline.
+            self.flush_links();
             let wall_now = Instant::now();
             let mut wait = MAX_WAIT;
             if let Some((due, _)) = due_node {
@@ -946,6 +1062,7 @@ impl TcpDriver {
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
+        self.leave_loop();
         processed
     }
 }
@@ -987,8 +1104,8 @@ impl Driver for TcpDriver {
                 if !self.is_local(y.index()) {
                     // Dial eagerly when the peer endpoint is already known
                     // (a broker); a client peer's endpoint arrives with its
-                    // handshake and the writer spawns on first send.
-                    self.writer_for(x.index(), y);
+                    // handshake and the link is created on first send.
+                    self.link_for(x.index(), y);
                 }
             }
         }
@@ -1016,7 +1133,7 @@ impl Driver for TcpDriver {
         // while an event is still queued.  The wait watches the incoming
         // channel, so a network message arriving (and becoming due) before
         // a far-out timer is dispatched first, as under run_until.
-        loop {
+        let dispatched = loop {
             self.drain_incoming();
             let Some((due, index)) = self
                 .pending
@@ -1024,23 +1141,25 @@ impl Driver for TcpDriver {
                 .filter_map(|(&i, q)| q.next_due().map(|d| (d, i)))
                 .min()
             else {
-                return false;
+                break false;
             };
             let wall_due = self.clock.to_wall(due);
             let now = Instant::now();
             if wall_due <= now {
-                return self.dispatch(index, self.clock.now());
+                break self.dispatch(index, self.clock.now());
             }
-            let received = self.incoming_rx.recv_timeout(wall_due - now);
-            match received {
+            // Capped by the heartbeat interval: idle links are kept alive
+            // from this loop, however far out the next event is.
+            let wait = (wall_due - now).min(self.cfg.heartbeat);
+            match self.incoming_rx.recv_timeout(wait) {
                 // New traffic may carry an earlier due event: re-evaluate.
                 Ok(inbound) => self.handle_inbound(inbound),
-                Err(RecvTimeoutError::Timeout) => {
-                    return self.dispatch(index, self.clock.now());
-                }
-                Err(RecvTimeoutError::Disconnected) => return false,
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break false,
             }
-        }
+        };
+        self.leave_loop();
+        dispatched
     }
 
     fn run_until(&mut self, until: SimTime) -> u64 {
@@ -1118,8 +1237,8 @@ impl Driver for TcpDriver {
 impl Drop for TcpDriver {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Closing the frame queues ends the writer threads.
-        self.writers.clear();
+        // Dropping the links dismisses their dialers.
+        self.links.clear();
         // Wake the acceptor out of its poll loop, then join it; readers
         // notice the flag within their read timeout on their own.
         let _ = TcpStream::connect(self.wake_addr);
@@ -1135,7 +1254,7 @@ impl std::fmt::Debug for TcpDriver {
             .field("listen", &self.advertised)
             .field("local_nodes", &self.nodes.len())
             .field("remote_nodes", &self.placeholders.len())
-            .field("connections_out", &self.writers.len())
+            .field("connections_out", &self.links.len())
             .field(
                 "pending",
                 &self.pending.values().map(|q| q.len()).sum::<usize>(),

@@ -22,7 +22,7 @@
 //! | 3    | `Message`       | from, to, sampled delay, seq, encoded [`Message`] |
 //! | 4    | `StatusRequest` | optional journal cursor (`events_after`)          |
 //! | 5    | `StatusReport`  | encoded [`StatusReport`] snapshot                 |
-//! | 6    | `Ack`           | cumulative receive high-water mark (`seq`)        |
+//! | 6    | `Ack`           | cumulative, delayed receive high-water mark (`seq`) |
 //! | 7    | `Fenced`        | the rejected dialer's expected minimum epoch      |
 //! | 8    | `LinkDrop`      | admin fault injection: peer whose links to drop   |
 //! | 9    | `TraceRequest`  | optional span cursor (`spans_after`)              |
@@ -32,7 +32,7 @@
 //! names the sending node, the node the connection feeds, the sender's
 //! restart epoch, the listen endpoint a reverse connection can dial back,
 //! and the link's delay model.  [`Frame::Heartbeat`]s flow whenever a
-//! writer has been idle for the configured interval, keeping NATs and
+//! link has been idle for the configured interval, keeping NATs and
 //! liveness checks happy.
 //!
 //! # Self-healing links
@@ -40,11 +40,13 @@
 //! [`Frame::Message`] carries a per-direction monotonic sequence number
 //! (`seq`, starting at 1; 0 means "unsequenced" and is skipped by the
 //! resend machinery).  The reader acknowledges progress with cumulative
-//! [`Frame::Ack`] frames written back onto the same connection; the writer
-//! keeps the unacknowledged suffix and replays it after a reconnect, while
-//! the reader drops any sequence number at or below its high-water mark —
-//! preserving the error-free FIFO link contract of the paper's Section 2.1
-//! across connection generations.  [`Frame::Fenced`] is the reader's
+//! [`Frame::Ack`] frames written back onto the same connection — delayed:
+//! one per 32 sequenced frames, or when the stream pauses for 2 ms with
+//! one owed.  The sending link keeps the unacknowledged suffix and replays
+//! it after a reconnect (so a replay can repeat up to a few dozen frames
+//! the peer did receive), while the reader drops any sequence number at or
+//! below its high-water mark — preserving the error-free FIFO link
+//! contract of the paper's Section 2.1 across connection generations.  [`Frame::Fenced`] is the reader's
 //! rejection of a `Hello` carrying a stale restart epoch: a crashed
 //! broker's zombie incarnation can never interleave with its successor.
 //!
@@ -192,7 +194,7 @@ pub enum Frame {
         /// distribution for its own sends back over this link.
         delay: DelayModel,
     },
-    /// Liveness beacon sent by an idle writer.
+    /// Liveness beacon sent on an idle link.
     Heartbeat {
         /// The sender's restart epoch.
         epoch: u64,
@@ -207,8 +209,8 @@ pub enum Frame {
         /// top of the real network latency (clamped per direction to keep
         /// the link FIFO).
         delay_micros: u64,
-        /// Per-direction monotonic sequence number assigned by the writer
-        /// thread (starting at 1).  `0` marks an unsequenced frame: it
+        /// Per-direction monotonic sequence number assigned by the sending
+        /// link (starting at 1).  `0` marks an unsequenced frame: it
         /// bypasses the resend window and duplicate suppression.
         seq: u64,
         /// The protocol message.
@@ -216,8 +218,9 @@ pub enum Frame {
     },
     /// Cumulative acknowledgement written by a reader back onto the
     /// connection it serves: every sequenced [`Frame::Message`] with
-    /// `seq <= ack` has been received, so the writer may drop it from its
-    /// resend window.
+    /// `seq <= ack` has been received, so the sender may drop it from its
+    /// resend window.  Written once per 32 sequenced frames, or after a
+    /// 2 ms pause with one owed.
     Ack {
         /// The reader's receive high-water mark for this direction.
         seq: u64,
@@ -951,8 +954,7 @@ pub fn read_message(r: &mut ByteReader<'_>) -> Result<Message, DecodeError> {
 }
 
 impl Frame {
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64);
+    fn encode_payload(&self, buf: &mut Vec<u8>) {
         match self {
             Frame::Hello {
                 from,
@@ -961,16 +963,16 @@ impl Frame {
                 listen,
                 delay,
             } => {
-                put_u8(&mut buf, KIND_HELLO);
-                put_node(&mut buf, *from);
-                put_node(&mut buf, *to);
-                put_u64(&mut buf, *epoch);
-                put_endpoint(&mut buf, listen);
-                put_delay_model(&mut buf, delay);
+                put_u8(buf, KIND_HELLO);
+                put_node(buf, *from);
+                put_node(buf, *to);
+                put_u64(buf, *epoch);
+                put_endpoint(buf, listen);
+                put_delay_model(buf, delay);
             }
             Frame::Heartbeat { epoch } => {
-                put_u8(&mut buf, KIND_HEARTBEAT);
-                put_u64(&mut buf, *epoch);
+                put_u8(buf, KIND_HEARTBEAT);
+                put_u64(buf, *epoch);
             }
             Frame::Message {
                 from,
@@ -979,53 +981,63 @@ impl Frame {
                 seq,
                 message,
             } => {
-                put_u8(&mut buf, KIND_MESSAGE);
-                put_node(&mut buf, *from);
-                put_node(&mut buf, *to);
-                put_u64(&mut buf, *delay_micros);
-                put_u64(&mut buf, *seq);
-                put_message(&mut buf, message);
+                put_u8(buf, KIND_MESSAGE);
+                put_node(buf, *from);
+                put_node(buf, *to);
+                put_u64(buf, *delay_micros);
+                put_u64(buf, *seq);
+                put_message(buf, message);
             }
             Frame::StatusRequest { events_after } => {
-                put_u8(&mut buf, KIND_STATUS_REQUEST);
-                put_opt_u64(&mut buf, *events_after);
+                put_u8(buf, KIND_STATUS_REQUEST);
+                put_opt_u64(buf, *events_after);
             }
             Frame::StatusReport(report) => {
-                put_u8(&mut buf, KIND_STATUS_REPORT);
-                put_status_report(&mut buf, report);
+                put_u8(buf, KIND_STATUS_REPORT);
+                put_status_report(buf, report);
             }
             Frame::TraceRequest { spans_after } => {
-                put_u8(&mut buf, KIND_TRACE_REQUEST);
-                put_opt_u64(&mut buf, *spans_after);
+                put_u8(buf, KIND_TRACE_REQUEST);
+                put_opt_u64(buf, *spans_after);
             }
             Frame::TraceReport(report) => {
-                put_u8(&mut buf, KIND_TRACE_REPORT);
-                put_trace_report(&mut buf, report);
+                put_u8(buf, KIND_TRACE_REPORT);
+                put_trace_report(buf, report);
             }
             Frame::Ack { seq } => {
-                put_u8(&mut buf, KIND_ACK);
-                put_u64(&mut buf, *seq);
+                put_u8(buf, KIND_ACK);
+                put_u64(buf, *seq);
             }
             Frame::Fenced { expected } => {
-                put_u8(&mut buf, KIND_FENCED);
-                put_u64(&mut buf, *expected);
+                put_u8(buf, KIND_FENCED);
+                put_u64(buf, *expected);
             }
             Frame::LinkDrop { peer } => {
-                put_u8(&mut buf, KIND_LINK_DROP);
-                put_node(&mut buf, *peer);
+                put_u8(buf, KIND_LINK_DROP);
+                put_node(buf, *peer);
             }
         }
-        buf
+    }
+
+    /// Appends the frame as `len ‖ crc32 ‖ payload` to `buf`.  The payload
+    /// is encoded in place behind a reserved header, so a caller that
+    /// reuses `buf` (a link's outbound window) pays no allocation and no
+    /// copy per frame.
+    pub(crate) fn encode_framed_into(&self, buf: &mut Vec<u8>) {
+        let start = buf.len();
+        buf.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+        self.encode_payload(buf);
+        let payload = &buf[start + FRAME_HEADER_LEN..];
+        let (len, crc) = (payload.len() as u32, crc32(payload));
+        buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        buf[start + 4..start + FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
     }
 
     /// Encodes the frame as `len ‖ crc32 ‖ payload`, ready to write to a
     /// socket.
     pub fn encode_framed(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut frame = Vec::with_capacity(payload.len() + FRAME_HEADER_LEN);
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::with_capacity(64 + FRAME_HEADER_LEN);
+        self.encode_framed_into(&mut frame);
         frame
     }
 
@@ -1454,7 +1466,8 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut payload = Frame::Heartbeat { epoch: 1 }.encode_payload();
+        let mut payload = Vec::new();
+        Frame::Heartbeat { epoch: 1 }.encode_payload(&mut payload);
         payload.push(0);
         let mut bytes = Vec::new();
         put_u32(&mut bytes, payload.len() as u32);

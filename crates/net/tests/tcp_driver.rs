@@ -50,6 +50,27 @@ fn pump_in_background(
     })
 }
 
+/// Hosts a single border broker on a raw driver listening on a fresh
+/// loopback port (the raw-socket tests talk to it frame by frame).
+fn lone_broker(seed: u64) -> (TcpDriver, u16) {
+    use rebeca_broker::BrokerRole;
+    use rebeca_core::{Driver, MobileBroker, SystemNode};
+
+    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let port = probe.local_addr().unwrap().port();
+    drop(probe);
+    let endpoints = vec![Endpoint::new("127.0.0.1", port)];
+    let mut broker =
+        TcpDriver::new(NetConfig::new(endpoints).host(0).seed(seed)).expect("broker driver binds");
+    broker.add_node(SystemNode::Broker(MobileBroker::new(
+        rebeca_sim::NodeId::new(0),
+        BrokerRole::Border,
+        Vec::new(),
+        common::broker_config(),
+    )));
+    (broker, port)
+}
+
 /// The acceptance scenario: quickstart plus a mid-run relocation across
 /// real TCP, asserted exactly-once and byte-identical to the simulator.
 #[test]
@@ -377,6 +398,9 @@ fn handshake_and_heartbeats_flow() {
         broker.metrics().counter("net.frames_in") >= 2,
         "attach + subscribe"
     );
+    // The client's event loop kept its idle link alive (400 ms at a 30 ms
+    // heartbeat).
+    assert!(broker.metrics().counter("net.heartbeats_in") >= 2);
 }
 
 /// Self-healing under injected faults: the client's writer drops its socket
@@ -433,23 +457,7 @@ fn duplicate_frames_are_suppressed_and_acknowledged_cumulatively() {
     use rebeca_net::wire::Frame;
     use std::io::{Read, Write};
 
-    let listener_probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let port = listener_probe.local_addr().unwrap().port();
-    drop(listener_probe);
-    let endpoints = vec![Endpoint::new("127.0.0.1", port)];
-
-    let mut broker = TcpDriver::new(NetConfig::new(endpoints.clone()).host(0).seed(51))
-        .expect("broker driver binds");
-    {
-        use rebeca_broker::BrokerRole;
-        use rebeca_core::{Driver, MobileBroker, SystemNode};
-        broker.add_node(SystemNode::Broker(MobileBroker::new(
-            rebeca_sim::NodeId::new(0),
-            BrokerRole::Border,
-            Vec::new(),
-            common::broker_config(),
-        )));
-    }
+    let (mut broker, port) = lone_broker(51);
 
     let mut socket = std::net::TcpStream::connect(("127.0.0.1", port)).expect("dial broker");
     socket
@@ -529,23 +537,7 @@ fn stale_epochs_are_fenced_and_zombie_connections_torn_down() {
     use rebeca_net::wire::Frame;
     use std::io::{Read, Write};
 
-    let listener_probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let port = listener_probe.local_addr().unwrap().port();
-    drop(listener_probe);
-    let endpoints = vec![Endpoint::new("127.0.0.1", port)];
-
-    let mut broker = TcpDriver::new(NetConfig::new(endpoints.clone()).host(0).seed(61))
-        .expect("broker driver binds");
-    {
-        use rebeca_broker::BrokerRole;
-        use rebeca_core::{Driver, MobileBroker, SystemNode};
-        broker.add_node(SystemNode::Broker(MobileBroker::new(
-            rebeca_sim::NodeId::new(0),
-            BrokerRole::Border,
-            Vec::new(),
-            common::broker_config(),
-        )));
-    }
+    let (mut broker, port) = lone_broker(61);
 
     let hello = |epoch: u64| Frame::Hello {
         from: rebeca_sim::NodeId::new(1),
@@ -648,6 +640,259 @@ fn step_dispatches_a_due_event_instead_of_reporting_idle() {
         assert!(
             client.step(),
             "round {round}: step() returned false with a due event pending"
+        );
+    }
+}
+
+/// Acknowledgements are cumulative and *delayed*: a steady stream of N
+/// sequenced frames costs about N / 32 ack frames, not one per read, and an
+/// idle link is still acknowledged within the 2 ms ack delay (plus slack).
+#[test]
+fn a_steady_stream_is_acknowledged_every_32_frames_and_an_idle_link_promptly() {
+    use rebeca_core::Driver;
+    use rebeca_net::wire::Frame;
+    use std::io::{Read, Write};
+    use std::time::Instant;
+
+    const STREAM: u64 = 256;
+    const ACK_EVERY: u64 = 32;
+
+    let (mut broker, port) = lone_broker(71);
+    let mut socket = std::net::TcpStream::connect(("127.0.0.1", port)).expect("dial broker");
+    socket.set_nodelay(true).unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_millis(5)))
+        .unwrap();
+    let me = rebeca_sim::NodeId::new(1);
+    let frame = |seq: u64| {
+        let message = if seq == 1 {
+            rebeca_broker::Message::Attach { client: PRODUCER }
+        } else {
+            rebeca_broker::Message::Publish {
+                publisher: PRODUCER,
+                notification: common::vacancy(seq),
+            }
+        };
+        Frame::Message {
+            from: me,
+            to: rebeca_sim::NodeId::new(0),
+            delay_micros: 0,
+            seq,
+            message,
+        }
+        .encode_framed()
+    };
+    let hello = Frame::Hello {
+        from: me,
+        to: rebeca_sim::NodeId::new(0),
+        epoch: 0,
+        listen: Endpoint::new("127.0.0.1", 1), // never dialled back in this test
+        delay: DelayModel::Constant(0),
+    };
+    socket.write_all(&hello.encode_framed()).unwrap();
+
+    // Reads what the reader wrote back: (ack frames, highest seq acked).
+    let mut buf = Vec::new();
+    let mut drain_acks = |socket: &mut std::net::TcpStream, until: u64| -> (u64, u64) {
+        let (mut acks, mut high) = (0, 0);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut chunk = [0u8; 4096];
+        while high < until && Instant::now() < deadline {
+            if let Ok(n) = socket.read(&mut chunk) {
+                buf.extend_from_slice(&chunk[..n]);
+            }
+            let mut consumed = 0;
+            while let Ok((frame, used)) = Frame::decode_framed(&buf[consumed..]) {
+                consumed += used;
+                if let Frame::Ack { seq } = frame {
+                    acks += 1;
+                    high = high.max(seq);
+                }
+            }
+            buf.drain(..consumed);
+        }
+        (acks, high)
+    };
+
+    // One frame per write, 200 µs apart: slow enough that the reader takes
+    // every frame in a read of its own (one ack per read would show as ~256
+    // acks), fast enough that the stream never pauses for the ack delay.
+    // A pause of the *sender* beyond that may legitimately cost one more
+    // ack, so pauses are counted rather than assumed away.
+    let mut pauses = 0;
+    let mut last = Instant::now();
+    for seq in 1..=STREAM {
+        while last.elapsed() < Duration::from_micros(200) {
+            std::hint::spin_loop();
+        }
+        if last.elapsed() > Duration::from_millis(1) {
+            pauses += 1;
+        }
+        socket.write_all(&frame(seq)).unwrap();
+        last = Instant::now();
+    }
+    let (acks, high) = drain_acks(&mut socket, STREAM);
+    assert_eq!(high, STREAM, "the whole stream is acknowledged");
+    let bound = STREAM.div_ceil(ACK_EVERY) + 1 + pauses;
+    assert!(
+        acks <= bound,
+        "{acks} ack frames for {STREAM} frames ({pauses} sender pauses): more than {bound}"
+    );
+
+    // Idle link: a lone frame is acknowledged after the ack delay, not at
+    // the reader's 100 ms poll.  Best of five, so a host stall cannot fail
+    // the test.
+    let mut best = Duration::MAX;
+    for seq in STREAM + 1..=STREAM + 5 {
+        let sent = Instant::now();
+        socket.write_all(&frame(seq)).unwrap();
+        let (_, high) = drain_acks(&mut socket, seq);
+        assert_eq!(high, seq, "a lone frame is acknowledged too");
+        best = best.min(sent.elapsed());
+    }
+    assert!(
+        best < Duration::from_millis(50),
+        "an idle link waited {best:?} for its ack"
+    );
+
+    // Nothing was lost on the way to the protocol.
+    let now = broker.now();
+    broker.run_until(now + SimDuration::from_millis(50));
+    assert_eq!(broker.metrics().counter("net.frames_in"), STREAM + 5);
+    let acks_out = broker.metrics().counter("net.acks_out");
+    assert!(
+        acks_out >= acks + 5 && acks_out <= bound + 5,
+        "net.acks_out counts the reader's ack frames, got {acks_out}"
+    );
+}
+
+/// A peer that accepts and never reads cannot wedge the event loop: the
+/// write times out at the liveness horizon, the link goes down (and keeps
+/// redialling), and the driver's other links keep delivering.
+#[test]
+fn a_peer_that_never_reads_takes_its_link_down_and_nothing_else() {
+    use std::time::Instant;
+
+    // "Broker 0" accepts connections (the kernel completes them into the
+    // backlog) and never reads a byte.
+    let stalled = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let port = probe.local_addr().unwrap().port();
+    drop(probe);
+    let endpoints = vec![
+        Endpoint::new("127.0.0.1", stalled.local_addr().unwrap().port()),
+        Endpoint::new("127.0.0.1", port),
+        Endpoint::new("127.0.0.1", port),
+    ];
+    let heartbeat = Duration::from_millis(50); // write timeout: 150 ms
+    let broker_sys = builder(1)
+        .build_tcp(
+            NetConfig::new(endpoints.clone())
+                .host(1)
+                .host(2)
+                .heartbeat(heartbeat)
+                .seed(81),
+        )
+        .expect("broker system builds");
+    let stop = Arc::new(AtomicBool::new(false));
+    let pump = pump_in_background(broker_sys, stop.clone());
+
+    let mut sys = builder(1)
+        .build_tcp(NetConfig::new(endpoints).heartbeat(heartbeat).seed(83))
+        .expect("client system builds");
+    let consumer = sys.connect(CONSUMER, 1).expect("consumer connects");
+    consumer
+        .subscribe(&mut sys, common::parking_filter())
+        .expect("subscribe");
+    let producer = sys.connect(PRODUCER, 2).expect("producer connects");
+    let victim = sys
+        .connect(rebeca_broker::ClientId::new(3), 0)
+        .expect("victim connects");
+    let now = sys.now();
+    sys.run_until(now + SimDuration::from_millis(300));
+    assert_eq!(sys.metrics().counter("net.link_down"), 0);
+
+    // 16 MB towards the stalled peer: far more than two socket buffers hold.
+    let blob = "x".repeat(64 * 1024);
+    for i in 0..256 {
+        let notification = rebeca_filter::Notification::builder()
+            .attr("blob", blob.as_str())
+            .attr("i", i as i64)
+            .build();
+        victim.publish(&mut sys, notification).expect("publish");
+    }
+    let started = Instant::now();
+    while sys.metrics().counter("net.link_down") == 0 {
+        assert!(
+            started.elapsed() < Duration::from_secs(20),
+            "the stalled link never went down"
+        );
+        let now = sys.now();
+        sys.run_until(now + SimDuration::from_millis(25));
+    }
+    let drops: Vec<String> = sys
+        .metrics()
+        .journal()
+        .events()
+        .filter(|e| e.kind == "link.drop")
+        .map(|e| e.detail.clone())
+        .collect();
+    assert!(
+        drops
+            .iter()
+            .any(|d| d.contains("peer=n0") && d.contains("write timed out")),
+        "the drop is a write timeout towards the stalled peer: {drops:?}"
+    );
+    assert_eq!(sys.metrics().counter("net.link_failed"), 0);
+
+    // The links towards the healthy process still deliver.
+    for i in 1..=5 {
+        producer
+            .publish(&mut sys, common::vacancy(i))
+            .expect("publish");
+    }
+    assert!(
+        common::run_until_deliveries(&mut sys, 5, 30_000),
+        "deliveries through the healthy links stalled"
+    );
+    let log = sys.client_log(CONSUMER).expect("consumer log");
+    assert!(log.is_clean(), "violations: {:?}", log.violations());
+    assert_eq!(log.distinct_publisher_seqs(PRODUCER), vec![1, 2, 3, 4, 5]);
+
+    stop.store(true, Ordering::SeqCst);
+    let _ = pump.join().expect("broker pump thread");
+    drop(stalled);
+}
+
+/// Peers acknowledge every 32 frames, so a resend window of only a few
+/// multiples of that would fail a healthy link: the config is rejected.
+#[test]
+fn a_resend_window_under_the_ack_cadence_is_rejected() {
+    let endpoints = vec![Endpoint::new("127.0.0.1", 0)];
+    let error = TcpDriver::new(NetConfig::new(endpoints.clone()).host(0).resend_window(127))
+        .expect_err("a 127-frame window is under the floor");
+    assert!(
+        error.to_string().contains("resend_window 127"),
+        "unexpected error: {error}"
+    );
+    TcpDriver::new(NetConfig::new(endpoints).host(0).resend_window(128))
+        .expect("the floor itself is accepted");
+}
+
+/// `heartbeat × missed_heartbeats` is the write timeout of every data
+/// socket; zero would leave the sockets fully blocking and the event loop
+/// at the mercy of a peer that never reads.
+#[test]
+fn a_zero_liveness_horizon_is_rejected() {
+    let config = || NetConfig::new(vec![Endpoint::new("127.0.0.1", 0)]).host(0);
+    for zero in [
+        config().heartbeat(Duration::ZERO),
+        config().missed_heartbeats(0),
+    ] {
+        let error = TcpDriver::new(zero).expect_err("no write timeout, no driver");
+        assert!(
+            error.to_string().contains("heartbeat × missed_heartbeats"),
+            "unexpected error: {error}"
         );
     }
 }
