@@ -1,18 +1,13 @@
 //! End-to-end benchmark of the mobility engine under relocation churn:
 //! thousands of mobile consumers relocating once mid-stream while a
 //! producer keeps publishing, exercising durable counterpart appends
-//! (write-ahead log), relocation floods, batched replays and — in the
-//! drained variants — the broker-side coalescing queue.
+//! (write-ahead log), relocation floods and batched replays.
 //!
-//! Three questions are measured:
+//! Two questions are measured:
 //!
 //! 1. **Churn throughput** — wall-clock per full scenario run at 2k and 10k
 //!    mobile clients (`churn/relocation/*`), the headline scale numbers.
-//! 2. **Batch draining pays for itself** — the same transit-heavy stream
-//!    with the drain timer off vs on (`churn/drain_off/2000` vs
-//!    `churn/drain_on/2000`): coalescing must keep the run at least as
-//!    fast while sending far fewer link messages.
-//! 3. **Durability overhead stays bounded** — the 2k churn run with the
+//! 2. **Durability overhead stays bounded** — the 2k churn run with the
 //!    WAL checkpointing left at its default vs a run without relocations
 //!    (`churn/static/2000`) as the floor.
 //!
@@ -22,7 +17,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rebeca_bench::scenarios::{run_churn, run_storm, ChurnScenario, StormScenario};
-use rebeca_sim::SimDuration;
 
 /// The relocation-churn load at a given client count.
 fn churn(clients: usize) -> ChurnScenario {
@@ -31,20 +25,6 @@ fn churn(clients: usize) -> ChurnScenario {
         groups: (clients / 20).max(1),
         publications: 200,
         relocate: true,
-        ..ChurnScenario::default()
-    }
-}
-
-/// Transit-heavy stream (every client its own group, so the delivery fan-out
-/// is minimal and per-hop transit messages dominate) for the drain pair.
-fn transit_heavy(clients: usize, drained: bool) -> ChurnScenario {
-    ChurnScenario {
-        clients,
-        groups: clients,
-        publications: 1_000,
-        publish_interval: SimDuration::from_micros(500),
-        relocate: false,
-        drain_interval: drained.then(|| SimDuration::from_millis(5)),
         ..ChurnScenario::default()
     }
 }
@@ -75,40 +55,6 @@ fn bench_relocation_churn(c: &mut Criterion) {
             b.iter(|| black_box(run_churn(black_box(&params))))
         });
     }
-    group.finish();
-}
-
-fn bench_drain_pair(c: &mut Criterion) {
-    let mut group = c.benchmark_group("churn");
-    group.sample_size(10);
-    let off = transit_heavy(2_000, false);
-    let on = transit_heavy(2_000, true);
-    let base = run_churn(&ChurnScenario {
-        verify: true,
-        ..off.clone()
-    });
-    let drained = run_churn(&ChurnScenario {
-        verify: true,
-        ..on.clone()
-    });
-    assert_eq!(base.delivered, base.expected);
-    assert_eq!(base.lost + drained.lost, 0);
-    assert_eq!(
-        drained.delivered, base.delivered,
-        "draining changed deliveries"
-    );
-    assert!(
-        drained.total_messages < base.total_messages,
-        "draining must reduce link messages ({} vs {})",
-        drained.total_messages,
-        base.total_messages
-    );
-    group.bench_with_input(BenchmarkId::new("drain_off", 2_000), &(), |b, _| {
-        b.iter(|| black_box(run_churn(black_box(&off))))
-    });
-    group.bench_with_input(BenchmarkId::new("drain_on", 2_000), &(), |b, _| {
-        b.iter(|| black_box(run_churn(black_box(&on))))
-    });
     group.finish();
 }
 
@@ -182,7 +128,6 @@ fn bench_link_messages(_c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_relocation_churn,
-    bench_drain_pair,
     bench_static_floor,
     bench_link_messages
 );

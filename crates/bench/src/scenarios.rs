@@ -415,9 +415,6 @@ pub struct ChurnScenario {
     pub publish_interval: SimDuration,
     /// Whether every consumer relocates once (staggered over ~200 ms).
     pub relocate: bool,
-    /// Broker-side drain interval (`None` routes every transit notification
-    /// immediately).
-    pub drain_interval: Option<SimDuration>,
     /// Per-link delay.
     pub link_delay: DelayModel,
     /// Simulation seed.
@@ -437,7 +434,6 @@ impl Default for ChurnScenario {
             publications: 200,
             publish_interval: SimDuration::from_millis(1),
             relocate: true,
-            drain_interval: None,
             link_delay: DelayModel::constant_millis(1),
             seed: 29,
             verify: false,
@@ -486,8 +482,7 @@ pub fn run_churn(params: &ChurnScenario) -> ChurnOutcome {
     let config = BrokerConfig::default()
         .with_strategy(RoutingStrategyKind::Covering)
         .with_movement_graph(MovementGraph::paper_example())
-        .with_relocation_timeout(SimDuration::from_secs(60))
-        .with_drain_interval(params.drain_interval);
+        .with_relocation_timeout(SimDuration::from_secs(60));
     let topo = Topology::line(params.brokers);
     let mut sys = SystemBuilder::new(&topo)
         .config(config)
@@ -911,30 +906,6 @@ mod tests {
             "relocations must exercise the replay path"
         );
         assert_eq!(outcome.leaked_timeout_guards, 0);
-    }
-
-    #[test]
-    fn churn_draining_reduces_messages_at_equal_deliveries() {
-        let base = ChurnScenario {
-            clients: 60,
-            groups: 60,
-            publications: 200,
-            relocate: false,
-            ..ChurnScenario::default()
-        };
-        let immediate = run_churn(&base);
-        let drained = run_churn(&ChurnScenario {
-            drain_interval: Some(SimDuration::from_millis(5)),
-            ..base
-        });
-        assert_eq!(immediate.delivered, immediate.expected);
-        assert_eq!(drained.delivered, immediate.delivered);
-        assert!(
-            drained.total_messages < immediate.total_messages,
-            "drained {} vs immediate {}",
-            drained.total_messages,
-            immediate.total_messages
-        );
     }
 
     #[test]

@@ -90,6 +90,15 @@ pub struct TraceSpanDraft {
     pub detail: String,
 }
 
+/// The trace context a sampled envelope carries to its next stage.
+fn sampled(trace_id: u64, parent_span: u64) -> Option<TraceContext> {
+    Some(TraceContext {
+        trace_id,
+        parent_span,
+        sampled: true,
+    })
+}
+
 /// The static (mobility-unaware) Rebeca broker state machine.
 #[derive(Debug, Clone)]
 pub struct BrokerCore {
@@ -394,11 +403,7 @@ impl BrokerCore {
                 envelope.publisher_seq
             );
             let span = self.new_span(trace_id, 0, "publish", detail);
-            envelope.trace = Some(TraceContext {
-                trace_id,
-                parent_span: span,
-                sampled: true,
-            });
+            envelope.trace = sampled(trace_id, span);
         }
     }
 
@@ -553,7 +558,7 @@ impl BrokerCore {
 
     /// A local client publishes a whole queue of notifications at once.
     /// The border broker assigns consecutive per-publisher sequence numbers
-    /// and routes the queue through the batch matching path.
+    /// and routes the queue with [`BrokerCore::route_envelope_batch`].
     pub fn handle_publish_batch(
         &mut self,
         publisher: ClientId,
@@ -585,8 +590,7 @@ impl BrokerCore {
     }
 
     /// A queue of routed notifications arrives from a neighbouring broker:
-    /// drain it through batch matching, then re-group the survivors per
-    /// next-hop link.
+    /// route each, then regroup the forwarded copies per next-hop link.
     pub fn handle_notification_batch(
         &mut self,
         envelopes: Vec<Envelope>,
@@ -597,10 +601,22 @@ impl BrokerCore {
 
     /// Routes an envelope: forwards it to matching neighbouring brokers and
     /// delivers it (with sequence annotation) to matching local clients.
-    pub fn route_envelope(&mut self, envelope: Envelope, exclude: Option<NodeId>) -> Outgoing {
-        if let Some(ctx) = envelope.trace.filter(|ctx| ctx.sampled) {
-            return self.route_envelope_traced(envelope, exclude, ctx);
-        }
+    ///
+    /// A sampled envelope drafts a `match` span first; after the walk each
+    /// forwarded copy gets a `route` span of its own as its new parent (so
+    /// the receiving broker's `match` attaches under the hop that carried
+    /// it), and the local copy is re-parented under `match` so `deliver`
+    /// spans nest correctly.  Unsampled envelopes skip both steps.
+    pub fn route_envelope(&mut self, mut envelope: Envelope, exclude: Option<NodeId>) -> Outgoing {
+        let traced = envelope.trace.filter(|ctx| ctx.sampled).map(|ctx| {
+            let detail = format!(
+                "publisher={} seq={}",
+                envelope.publisher.raw(),
+                envelope.publisher_seq
+            );
+            let match_span = self.new_span(ctx.trace_id, ctx.parent_span, "match", detail);
+            (ctx.trace_id, match_span)
+        });
         let mut out = Vec::new();
 
         // Broker-to-broker forwarding, via the routing engine's visitor walk
@@ -617,130 +633,59 @@ impl BrokerCore {
             },
         );
 
-        self.deliver_locally(&envelope, exclude, &mut out);
-        out
-    }
-
-    /// The traced twin of [`BrokerCore::route_envelope`]: drafts a `match`
-    /// span, a per-next-hop `route` span (rewriting each forwarded copy's
-    /// parent to it, so the receiving broker's `match` attaches under the
-    /// hop that carried it), and re-parents the local copy under the `match`
-    /// span so `deliver` spans nest correctly.
-    fn route_envelope_traced(
-        &mut self,
-        mut envelope: Envelope,
-        exclude: Option<NodeId>,
-        ctx: TraceContext,
-    ) -> Outgoing {
-        let match_span = self.new_span(
-            ctx.trace_id,
-            ctx.parent_span,
-            "match",
-            format!(
-                "publisher={} seq={}",
-                envelope.publisher.raw(),
-                envelope.publisher_seq
-            ),
-        );
-
-        // Each forwarded copy gets its own parent, so destinations are
-        // collected first (the engine walk borrows the routing state).
-        let broker_links = &self.broker_links;
-        let mut dests: Vec<NodeId> = Vec::new();
-        self.engine.for_each_route(
-            &envelope.notification,
-            exclude.as_ref(),
-            broker_links,
-            |dest| {
-                if broker_links.contains(dest) {
-                    dests.push(*dest);
+        if let Some((trace_id, match_span)) = traced {
+            for (dest, message) in &mut out {
+                let detail = format!("dest={}", dest.index());
+                let route_span = self.new_span(trace_id, match_span, "route", detail);
+                if let Message::Notification(copy) = message {
+                    copy.trace = sampled(trace_id, route_span);
                 }
-            },
-        );
-
-        let mut out = Vec::with_capacity(dests.len());
-        for dest in dests {
-            let route_span = self.new_span(
-                ctx.trace_id,
-                match_span,
-                "route",
-                format!("dest={}", dest.index()),
-            );
-            let mut copy = envelope.clone();
-            copy.trace = Some(TraceContext {
-                trace_id: ctx.trace_id,
-                parent_span: route_span,
-                sampled: true,
-            });
-            out.push((dest, Message::Notification(copy)));
+            }
+            envelope.trace = sampled(trace_id, match_span);
         }
-
-        envelope.trace = Some(TraceContext {
-            trace_id: ctx.trace_id,
-            parent_span: match_span,
-            sampled: true,
-        });
         self.deliver_locally(&envelope, exclude, &mut out);
         out
     }
 
-    /// Routes a queue of envelopes through the batch matcher: one matching
-    /// pass for the whole queue, survivors re-grouped into per-link
-    /// [`Message::NotificationBatch`]s (a single survivor travels as a
-    /// plain [`Message::Notification`]), local deliveries as usual.
+    /// Routes a queue of envelopes one by one through
+    /// [`BrokerCore::route_envelope`], then regroups the forwarded copies
+    /// into one [`Message::NotificationBatch`] per next-hop link, in
+    /// ascending link order (a single copy travels as a plain
+    /// [`Message::Notification`]).  The local deliveries follow in queue
+    /// order.
     pub fn route_envelope_batch(
         &mut self,
-        envelopes: Vec<Envelope>,
+        mut envelopes: Vec<Envelope>,
         exclude: Option<NodeId>,
     ) -> Outgoing {
-        match envelopes.len() {
-            0 => return Vec::new(),
-            1 => {
-                let envelope = envelopes.into_iter().next().expect("one envelope");
-                return self.route_envelope(envelope, exclude);
-            }
-            _ => {}
+        // A lone envelope keeps the routing walk's link order (under
+        // flooding, the order of `broker_links`).
+        if envelopes.len() == 1 {
+            let envelope = envelopes.pop().expect("one envelope");
+            return self.route_envelope(envelope, exclude);
         }
-        // A batch carrying at least one sampled envelope routes envelope by
-        // envelope so per-envelope `route` spans can rewrite each copy's
-        // parent.  Tracing trades the batch fast path for causality on the
-        // (sampled) slice of traffic; unsampled batches are unaffected.
-        if envelopes.iter().any(|e| e.trace.is_some()) {
-            let mut out = Vec::new();
-            for envelope in envelopes {
-                out.append(&mut self.route_envelope(envelope, exclude));
-            }
-            return out;
-        }
-        let destinations = {
-            let ns: Vec<&Notification> = envelopes.iter().map(|e| &e.notification).collect();
-            self.engine
-                .route_batch(&ns, exclude.as_ref(), &self.broker_links)
-        };
-        let mut per_dest: BTreeMap<NodeId, Vec<Envelope>> = BTreeMap::new();
-        for (envelope, dests) in envelopes.iter().zip(&destinations) {
-            for dest in dests {
-                if self.broker_links.contains(dest) {
-                    per_dest.entry(*dest).or_default().push(envelope.clone());
+        let mut per_link: BTreeMap<NodeId, Vec<Envelope>> = BTreeMap::new();
+        let mut delivers = Vec::new();
+        for envelope in envelopes {
+            for (to, message) in self.route_envelope(envelope, exclude) {
+                match message {
+                    Message::Notification(copy) => per_link.entry(to).or_default().push(copy),
+                    deliver => delivers.push((to, deliver)),
                 }
             }
         }
-        let mut out: Outgoing = per_dest
+        let mut out: Outgoing = per_link
             .into_iter()
-            .map(|(dest, mut batch)| {
-                if batch.len() == 1 {
-                    (
-                        dest,
-                        Message::Notification(batch.pop().expect("one envelope")),
-                    )
+            .map(|(link, mut batch)| {
+                let message = if batch.len() == 1 {
+                    Message::Notification(batch.pop().expect("one envelope"))
                 } else {
-                    (dest, Message::NotificationBatch(batch))
-                }
+                    Message::NotificationBatch(batch)
+                };
+                (link, message)
             })
             .collect();
-        for envelope in &envelopes {
-            self.deliver_locally(envelope, exclude, &mut out);
-        }
+        out.append(&mut delivers);
         out
     }
 
@@ -1261,7 +1206,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_batches_route_per_envelope_with_matching_destinations() {
+    fn traced_batches_regroup_per_link_under_their_route_spans() {
         let mut plain = broker();
         let mut traced = broker();
         traced.set_trace_sampling(rebeca_obs::rate_per_64k(1.0));
@@ -1273,30 +1218,60 @@ mod tests {
         let miss = Notification::builder().attr("service", "none").build();
         let batch = vec![vacancy(), miss, vacancy()];
         let plain_out = plain.handle_publish_batch(ClientId::new(2), batch.clone(), NodeId(101));
-        let traced_out = traced.handle_publish_batch(ClientId::new(2), batch, NodeId(101));
-        // Same destinations and same envelopes reach the network, whether
-        // they travel batched (untraced) or per-envelope (traced).
-        let flatten = |out: &Outgoing| {
-            let mut flat: Vec<(NodeId, u64)> = out
-                .iter()
-                .flat_map(|(dest, m)| match m {
-                    Message::Notification(e) => vec![(*dest, e.publisher_seq)],
-                    Message::NotificationBatch(es) => {
-                        es.iter().map(|e| (*dest, e.publisher_seq)).collect()
-                    }
-                    _ => Vec::new(),
-                })
-                .collect();
-            flat.sort_unstable();
-            flat
-        };
-        assert_eq!(flatten(&plain_out), flatten(&traced_out));
+        let mut traced_out = traced.handle_publish_batch(ClientId::new(2), batch, NodeId(101));
         assert!(plain.take_trace_spans().is_empty());
         let spans = traced.take_trace_spans();
         // Three publish roots, a match per envelope, a route per forward.
         assert_eq!(spans.iter().filter(|s| s.kind == "publish").count(), 3);
         assert_eq!(spans.iter().filter(|s| s.kind == "match").count(), 3);
-        assert_eq!(spans.iter().filter(|s| s.kind == "route").count(), 2);
+        let routes: Vec<&TraceSpanDraft> = spans.iter().filter(|s| s.kind == "route").collect();
+        assert_eq!(routes.len(), 2);
+
+        // Both vacancies leave towards link 10 as one batch, each copy
+        // parented on the route span drafted for it, under its own match.
+        let [(NodeId(10), Message::NotificationBatch(copies))] = traced_out.as_slice() else {
+            panic!("expected one batch towards link 10, got {traced_out:?}");
+        };
+        assert_eq!(copies.len(), 2);
+        for (copy, route) in copies.iter().zip(&routes) {
+            assert_eq!(copy.trace.unwrap().parent_span, route.span_id);
+            let match_span = spans
+                .iter()
+                .find(|s| s.kind == "match" && s.span_id == route.parent_span)
+                .expect("route nests under a match");
+            assert_eq!(
+                match_span.detail,
+                format!("publisher=2 seq={}", copy.publisher_seq)
+            );
+        }
+
+        // The receiving broker's match spans nest under those route spans.
+        let mut b2 = BrokerCore::new(
+            NodeId(1),
+            BrokerRole::Border,
+            vec![NodeId(0)],
+            RoutingStrategyKind::Covering,
+        );
+        b2.handle_attach(ClientId::new(5), NodeId(200));
+        b2.handle_subscribe(ClientId::new(5), parking(), NodeId(200));
+        b2.handle_notification_batch(copies.clone(), NodeId(0));
+        let parents: Vec<u64> = b2
+            .take_trace_spans()
+            .iter()
+            .filter(|s| s.kind == "match")
+            .map(|s| s.parent_span)
+            .collect();
+        let route_ids: Vec<u64> = routes.iter().map(|r| r.span_id).collect();
+        assert_eq!(parents, route_ids);
+
+        // Apart from the trace contexts, the traced batch leaves exactly as
+        // the untraced one.
+        for (_, message) in &mut traced_out {
+            if let Message::NotificationBatch(copies) = message {
+                copies.iter_mut().for_each(|copy| copy.trace = None);
+            }
+        }
+        assert_eq!(traced_out, plain_out);
     }
 
     #[test]

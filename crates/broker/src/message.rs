@@ -89,8 +89,7 @@ pub enum Message {
     },
     /// A client publishes a whole queue of notifications through its border
     /// broker in one message.  The broker assigns consecutive per-publisher
-    /// sequence numbers and routes the queue through the batch matching
-    /// path (`handle_publish_batch`).
+    /// sequence numbers and routes the queue (`handle_publish_batch`).
     PublishBatch {
         /// The publishing client.
         publisher: ClientId,
@@ -100,8 +99,8 @@ pub enum Message {
     /// A routed notification travelling between brokers.
     Notification(Envelope),
     /// A queue of routed notifications travelling between brokers as one
-    /// message: the receiving broker drains it through batch matching and
-    /// re-groups the survivors per next-hop link.
+    /// message: the receiving broker routes each envelope and regroups the
+    /// forwarded copies per next-hop link.
     NotificationBatch(Vec<Envelope>),
     /// A subscription travelling from a client into (and through) the broker
     /// network.

@@ -1,10 +1,8 @@
 //! The mobility-aware Rebeca broker: the adapter that binds the extracted
-//! mobility engine to `BrokerCore` — and, today, a good deal more than an
-//! adapter.  Besides the demultiplexing described below it carries the
-//! location-dependent subscriptions, the drain queue, the history-replay
-//! sessions of `subscribe_since`, retention recording and the trace-span
-//! plumbing; it is the largest file in the workspace, and ROADMAP
-//! direction 3 is about making it thin again.
+//! mobility engine to `BrokerCore` — and, today, more than an adapter.
+//! Besides the demultiplexing described below it carries the
+//! location-dependent subscriptions, the history-replay sessions of
+//! `subscribe_since`, retention recording and the trace-span plumbing.
 //!
 //! [`MobileBroker`] wraps the static [`BrokerCore`] of `rebeca-broker` and
 //! wires it to the two mobility layers:
@@ -22,11 +20,10 @@
 //!   according to an [`AdaptivityPlan`], and the location-update protocol
 //!   that swaps those filters hop by hop when the client moves.
 //!
-//! The adapter also owns the **drain queue**: with
-//! [`BrokerConfig::drain_interval`] set, transit notifications are coalesced
-//! and flushed through the batch matching path
-//! (`BrokerCore::route_envelope_batch`) on a timer, so under load fewer,
-//! larger [`Message::NotificationBatch`]es travel per link.
+//! Notifications are routed the moment they arrive, and no layer may hold
+//! them back: the relocation protocol relies on per-link FIFO order between
+//! a notification and the `Relocate`/`Fetch`/`Replay` messages chasing it
+//! (Section 2.1's link contract).
 //!
 //! On top of the mobility layers, the broker optionally keeps a
 //! **retention store** ([`rebeca_retain::RetentionStore`]) of the
@@ -66,11 +63,9 @@ use rebeca_sim::{Context, Incoming, Node, NodeId, SimDuration, SimTime};
 /// hold to replay settle, in microseconds) are recorded.
 pub const HANDOFF_LATENCY_HISTOGRAM: &str = "mobility.handoff_latency_micros";
 
-/// Timer tag reserved for the drain-queue flush (relocation timeouts use
-/// tags counted up from zero, so the top of the range never collides).
-const DRAIN_TIMER_TAG: u64 = u64::MAX;
-
-/// Timer tag reserved for the periodic counterpart-lease sweep.
+/// Timer tag reserved for the periodic counterpart-lease sweep (relocation
+/// timeouts use tags counted up from zero, so the top of the range never
+/// collides).
 const LEASE_SWEEP_TIMER_TAG: u64 = u64::MAX - 1;
 
 /// History-session gather timers count up from here.  Relocation timeout
@@ -132,11 +127,6 @@ pub struct BrokerConfig {
     /// buffering approaches guarantee completeness only "within the
     /// boundaries of time and/or space limitations").
     pub relocation_timeout: SimDuration,
-    /// When set, transit notifications are queued and flushed through the
-    /// batch matching path every `drain_interval` instead of being routed
-    /// one at a time — fewer link messages at equal deliveries under load.
-    /// `None` (the default) routes every notification immediately.
-    pub drain_interval: Option<SimDuration>,
     /// Where the per-broker write-ahead handoff logs live.
     pub persistence: PersistenceConfig,
     /// Records between WAL compaction checkpoints (0 disables compaction).
@@ -173,7 +163,6 @@ impl Default for BrokerConfig {
             strategy: RoutingStrategyKind::Covering,
             movement_graph: MovementGraph::paper_example(),
             relocation_timeout: SimDuration::from_secs(10),
-            drain_interval: None,
             persistence: PersistenceConfig::InMemory,
             wal_checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             scoped_relocation: true,
@@ -201,13 +190,6 @@ impl BrokerConfig {
     /// protocol.
     pub fn with_relocation_timeout(mut self, timeout: SimDuration) -> Self {
         self.relocation_timeout = timeout;
-        self
-    }
-
-    /// Sets (or, with `None`, disables) the transit-notification drain
-    /// interval.
-    pub fn with_drain_interval(mut self, interval: Option<SimDuration>) -> Self {
-        self.drain_interval = interval;
         self
     }
 
@@ -261,11 +243,6 @@ pub struct MobileBroker {
     machine: RelocationMachine,
     /// Location-dependent subscription state per subscription id.
     loc_subs: BTreeMap<SubscriptionId, LocSubState>,
-    /// Coalescing queue for transit notifications, keyed by arrival link
-    /// (the routing exclude differs per source).
-    drain_queue: BTreeMap<NodeId, Vec<Envelope>>,
-    /// Whether a drain-flush timer is currently armed.
-    drain_armed: bool,
     /// Streams currently held at this (new border) broker and when the hold
     /// began — settling them feeds the hand-off latency histogram.  A plain
     /// vector: relocations in flight at one broker are few.
@@ -333,35 +310,9 @@ impl MobileBroker {
         config: BrokerConfig,
         log: HandoffLog,
     ) -> Self {
-        let mut machine = RelocationMachine::new(config.relocation_timeout, log);
-        machine.set_scoped_flood(config.scoped_relocation);
-        let wal_appends_seen = machine.log().appends_total();
-        let wal_checkpoints_seen = machine.log().checkpoints_total();
-        let mut core = BrokerCore::new(id, role, broker_links, config.strategy);
-        let retention = config.retention.clone().map(RetentionStore::new);
-        core.set_record_published(retention.is_some());
-        core.set_trace_sampling(config.trace_sample_per_64k);
-        Self {
-            core,
-            config,
-            machine,
-            loc_subs: BTreeMap::new(),
-            drain_queue: BTreeMap::new(),
-            drain_armed: false,
-            holding_since: Vec::new(),
-            last_checkpoint_at: None,
-            wal_appends_seen,
-            wal_checkpoints_seen,
-            recovery_note: None,
-            retention,
-            history_sessions: BTreeMap::new(),
-            history_routes: BTreeMap::new(),
-            next_history_tag: HISTORY_TIMER_BASE,
-            history_tags: BTreeMap::new(),
-            lease_sweep_armed: false,
-            relocation_traces: BTreeMap::new(),
-            trace_nonce: 0,
-        }
+        let machine = RelocationMachine::new(config.relocation_timeout, log);
+        let core = BrokerCore::new(id, role, broker_links, config.strategy);
+        Self::assemble(core, machine, config, None)
     }
 
     /// Restarts a broker from its write-ahead handoff log: the machine and
@@ -378,15 +329,28 @@ impl MobileBroker {
         log: HandoffLog,
     ) -> (Self, Vec<u64>) {
         let mut core = BrokerCore::new(id, role, broker_links, config.strategy);
-        let (mut machine, tags) =
-            RelocationMachine::recover(config.relocation_timeout, log, &mut core);
-        machine.set_scoped_flood(config.scoped_relocation);
-        let recovery_note = Some(format!(
+        let (machine, tags) = RelocationMachine::recover(config.relocation_timeout, log, &mut core);
+        let recovery_note = format!(
             "broker={id} generation={} wal_depth={} rearmed_holdings={}",
             machine.generation(),
             machine.log().depth(),
             tags.len()
-        ));
+        );
+        (
+            Self::assemble(core, machine, config, Some(recovery_note)),
+            tags,
+        )
+    }
+
+    /// Builds a broker around a static core and a relocation machine, fresh
+    /// or recovered — the one place the broker's fields are spelled out.
+    fn assemble(
+        mut core: BrokerCore,
+        mut machine: RelocationMachine,
+        config: BrokerConfig,
+        recovery_note: Option<String>,
+    ) -> Self {
+        machine.set_scoped_flood(config.scoped_relocation);
         let wal_appends_seen = machine.log().appends_total();
         let wal_checkpoints_seen = machine.log().checkpoints_total();
         // Retention is in-memory per incarnation: a restarted broker comes
@@ -395,30 +359,25 @@ impl MobileBroker {
         let retention = config.retention.clone().map(RetentionStore::new);
         core.set_record_published(retention.is_some());
         core.set_trace_sampling(config.trace_sample_per_64k);
-        (
-            Self {
-                core,
-                config,
-                machine,
-                loc_subs: BTreeMap::new(),
-                drain_queue: BTreeMap::new(),
-                drain_armed: false,
-                holding_since: Vec::new(),
-                last_checkpoint_at: None,
-                wal_appends_seen,
-                wal_checkpoints_seen,
-                recovery_note,
-                retention,
-                history_sessions: BTreeMap::new(),
-                history_routes: BTreeMap::new(),
-                next_history_tag: HISTORY_TIMER_BASE,
-                history_tags: BTreeMap::new(),
-                lease_sweep_armed: false,
-                relocation_traces: BTreeMap::new(),
-                trace_nonce: 0,
-            },
-            tags,
-        )
+        Self {
+            core,
+            config,
+            machine,
+            loc_subs: BTreeMap::new(),
+            holding_since: Vec::new(),
+            last_checkpoint_at: None,
+            wal_appends_seen,
+            wal_checkpoints_seen,
+            recovery_note,
+            retention,
+            history_sessions: BTreeMap::new(),
+            history_routes: BTreeMap::new(),
+            next_history_tag: HISTORY_TIMER_BASE,
+            history_tags: BTreeMap::new(),
+            lease_sweep_armed: false,
+            relocation_traces: BTreeMap::new(),
+            trace_nonce: 0,
+        }
     }
 
     /// Read access to the wrapped static broker.
@@ -463,12 +422,6 @@ impl MobileBroker {
     /// The relocation phase of a stream at this broker.
     pub fn relocation_phase(&self, client: ClientId, filter: &Filter) -> RelocationPhase {
         self.machine.phase(client, filter)
-    }
-
-    /// Number of transit notifications currently queued for the next drain
-    /// flush.
-    pub fn drain_queue_len(&self) -> usize {
-        self.drain_queue.values().map(Vec::len).sum()
     }
 
     /// Number of location-dependent subscriptions installed at this broker.
@@ -895,68 +848,6 @@ impl MobileBroker {
                 Effect::Add(name, amount) => ctx.metrics().add(name, amount),
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Batch draining
-    // ------------------------------------------------------------------
-
-    /// Queues transit envelopes for the next drain flush, arming the flush
-    /// timer when the queue was empty.
-    fn enqueue_for_drain(
-        &mut self,
-        from: NodeId,
-        envelopes: Vec<Envelope>,
-        interval: SimDuration,
-        ctx: &mut Context<'_, Message>,
-    ) {
-        ctx.metrics()
-            .add("broker.drain_queued", envelopes.len() as u64);
-        self.drain_queue.entry(from).or_default().extend(envelopes);
-        if !self.drain_armed {
-            self.drain_armed = true;
-            ctx.set_timer(interval, DRAIN_TIMER_TAG);
-        }
-    }
-
-    /// Flushes the coalescing queue through the batch matching path: one
-    /// `route_envelope_batch` call per arrival link, survivors re-grouped
-    /// into per-link [`Message::NotificationBatch`]es by the engine.
-    fn drain_queued(&mut self, ctx: &mut Context<'_, Message>) -> Vec<(NodeId, Message)> {
-        self.drain_armed = false;
-        let queues = std::mem::take(&mut self.drain_queue);
-        let mut out = Vec::new();
-        let now = ctx.now().as_micros();
-        for (from, envelopes) in queues {
-            ctx.metrics().add("broker.drained", envelopes.len() as u64);
-            let routed = self.core.route_envelope_batch(envelopes, Some(from));
-            let routed = self.machine.intercept_holding(routed);
-            self.machine.absorb_parked(&mut self.core, now);
-            out.extend(routed);
-        }
-        ctx.metrics().incr("broker.drain_flush");
-        out
-    }
-
-    /// Flushes the drain queue ahead of a mobility control message.
-    ///
-    /// The relocation protocol relies on per-link FIFO order between
-    /// notifications and the control messages that chase them (a
-    /// notification forwarded before a `Relocate`/`Fetch` must reach the
-    /// old border broker before it, so it lands in the counterpart and not
-    /// in the void after garbage collection).  Coalescing would let control
-    /// messages overtake queued notifications, so the queue is flushed —
-    /// and the flushed messages emitted — *before* the control message is
-    /// handled, restoring the FIFO relationship.
-    fn flush_drain_for_control(
-        &mut self,
-        ctx: &mut Context<'_, Message>,
-    ) -> Vec<(NodeId, Message)> {
-        if self.drain_queue.is_empty() {
-            return Vec::new();
-        }
-        ctx.metrics().incr("broker.drain_control_flush");
-        self.drain_queued(ctx)
     }
 
     // ------------------------------------------------------------------
@@ -1468,11 +1359,6 @@ impl Node for MobileBroker {
         let mut out = Vec::new();
         match event {
             Incoming::Timer {
-                tag: DRAIN_TIMER_TAG,
-            } => {
-                out = self.drain_queued(ctx);
-            }
-            Incoming::Timer {
                 tag: LEASE_SWEEP_TIMER_TAG,
             } => {
                 out = self.sweep_leases(ctx);
@@ -1495,7 +1381,6 @@ impl Node for MobileBroker {
                         filter,
                         last_seq,
                     } => {
-                        out = self.flush_drain_for_control(ctx);
                         let effects = self.machine.on_resubscribe(
                             &mut self.core,
                             client,
@@ -1518,7 +1403,6 @@ impl Node for MobileBroker {
                         last_seq,
                         new_broker,
                     } => {
-                        out = self.flush_drain_for_control(ctx);
                         let trace_id = self.sample_relocation(client, last_seq);
                         if let Some(trace_id) = trace_id {
                             self.relocation_traces
@@ -1556,7 +1440,6 @@ impl Node for MobileBroker {
                         last_seq,
                         junction,
                     } => {
-                        out = self.flush_drain_for_control(ctx);
                         let trace_id = self.sample_relocation(client, last_seq);
                         if let Some(trace_id) = trace_id {
                             self.relocation_traces
@@ -1605,7 +1488,6 @@ impl Node for MobileBroker {
                         filter,
                         deliveries,
                     } => {
-                        out = self.flush_drain_for_control(ctx);
                         let key = (client, filter.clone());
                         let trace_id = self.relocation_traces.get(&key).copied();
                         let hold_start = self
@@ -1652,13 +1534,11 @@ impl Node for MobileBroker {
                         self.note_settled(ctx, "relocation.settled", Some(client));
                     }
                     Message::Detach { client } => {
-                        // Queued notifications arrived before the detach:
-                        // deliver them first, then let the static broker
-                        // mark the client disconnected and the machine open
-                        // durable counterparts for what is left behind.
-                        out = self.flush_drain_for_control(ctx);
+                        // The static broker marks the client disconnected,
+                        // then the machine opens durable counterparts for
+                        // what is left behind.
                         let now = ctx.now().as_micros();
-                        out.extend(self.run_core(from, Message::Detach { client }, now));
+                        out = self.run_core(from, Message::Detach { client }, now);
                         self.machine.on_detach(&self.core, client, now);
                         self.note_control("relocation.detach", client, ctx);
                     }
@@ -1668,15 +1548,14 @@ impl Node for MobileBroker {
                         since_micros,
                         last_seq,
                     } => {
-                        out = self.flush_drain_for_control(ctx);
-                        out.extend(self.handle_subscribe_since(
+                        out = self.handle_subscribe_since(
                             subscriber,
                             filter,
                             since_micros,
                             last_seq,
                             from,
                             ctx,
-                        ));
+                        );
                     }
                     Message::HistoryFetch {
                         client,
@@ -1684,33 +1563,21 @@ impl Node for MobileBroker {
                         since_micros,
                         origin,
                     } => {
-                        out = self.flush_drain_for_control(ctx);
-                        out.extend(self.handle_history_fetch(
+                        out = self.handle_history_fetch(
                             client,
                             filter,
                             since_micros,
                             origin,
                             from,
                             ctx,
-                        ));
+                        );
                     }
                     Message::HistoryReplay {
                         client,
                         filter,
                         entries,
                     } => {
-                        out = self.flush_drain_for_control(ctx);
-                        out.extend(self.handle_history_replay(client, filter, entries, ctx));
-                    }
-                    Message::Notification(envelope) if self.config.drain_interval.is_some() => {
-                        let interval = self.config.drain_interval.expect("checked above");
-                        self.enqueue_for_drain(from, vec![envelope], interval, ctx);
-                    }
-                    Message::NotificationBatch(envelopes)
-                        if self.config.drain_interval.is_some() =>
-                    {
-                        let interval = self.config.drain_interval.expect("checked above");
-                        self.enqueue_for_drain(from, envelopes, interval, ctx);
+                        out = self.handle_history_replay(client, filter, entries, ctx);
                     }
                     Message::LocSubscribe {
                         sub_id,

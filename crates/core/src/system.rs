@@ -117,13 +117,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Enables broker-side transit-notification draining at the given
-    /// interval.
-    pub fn drain_interval(mut self, interval: SimDuration) -> Self {
-        self.config.drain_interval = Some(interval);
-        self
-    }
-
     /// Sets where the per-broker write-ahead handoff logs live.
     pub fn persistence(mut self, persistence: PersistenceConfig) -> Self {
         self.config.persistence = persistence;

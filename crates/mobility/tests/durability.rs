@@ -344,88 +344,6 @@ fn corrupted_wal_recovers_to_the_last_valid_record() {
     assert!(sys.client_log(CONSUMER).unwrap().is_clean());
 }
 
-/// The drain queue and the WAL compose: with batch draining enabled, a
-/// crash after the relocation committed (in a quiescent window, so the
-/// volatile drain queue is empty — queued-but-unrouted envelopes are
-/// explicitly outside the durability contract) still satisfies the oracle
-/// equality.  The consumer moves at 200 ms mid-stream, the relocation
-/// settles around 260 ms, the first publication wave drains by ~350 ms, the
-/// broker crashes at 450 ms, and a second wave from 600 ms exercises the
-/// restarted broker.
-#[test]
-fn crash_with_batch_draining_enabled_matches_oracle() {
-    let run_drained = |crash: bool| -> Vec<Delivery> {
-        let config = BrokerConfig::default()
-            .with_strategy(RoutingStrategyKind::Covering)
-            .with_movement_graph(MovementGraph::paper_example())
-            .with_relocation_timeout(SimDuration::from_secs(60))
-            .with_drain_interval(Some(SimDuration::from_millis(8)))
-            .with_wal_checkpoint_every(8);
-        let mut sys = SystemBuilder::new(&Topology::figure5())
-            .config(config)
-            .link_delay(DelayModel::constant_millis(5))
-            .seed(23)
-            .build()
-            .unwrap();
-        sys.add_client(
-            CONSUMER,
-            LogicalMobilityMode::LocationDependent,
-            &[OLD_BROKER, NEW_BROKER],
-            vec![
-                (
-                    SimTime::from_millis(1),
-                    ClientAction::Attach {
-                        broker: sys.broker_node(OLD_BROKER).unwrap(),
-                    },
-                ),
-                (SimTime::from_millis(2), ClientAction::Subscribe(filter())),
-                (
-                    SimTime::from_millis(200),
-                    ClientAction::MoveTo {
-                        broker: sys.broker_node(NEW_BROKER).unwrap(),
-                    },
-                ),
-            ],
-        )
-        .unwrap();
-        let mut script = vec![(
-            SimTime::from_millis(1),
-            ClientAction::Attach {
-                broker: sys.broker_node(7).unwrap(),
-            },
-        )];
-        for i in 0..12u64 {
-            script.push((
-                SimTime::from_millis(50 + i * 20),
-                ClientAction::Publish(sample(i)),
-            ));
-        }
-        for i in 12..25u64 {
-            script.push((
-                SimTime::from_millis(600 + (i - 12) * 20),
-                ClientAction::Publish(sample(i)),
-            ));
-        }
-        sys.add_client(
-            PRODUCER,
-            LogicalMobilityMode::LocationDependent,
-            &[7],
-            script,
-        )
-        .unwrap();
-        sys.run_until(SimTime::from_millis(450));
-        if crash {
-            sys.crash_and_restart_broker(OLD_BROKER).unwrap();
-        }
-        sys.run_until(SimTime::from_secs(30));
-        sys.client_log(CONSUMER).unwrap().deliveries().to_vec()
-    };
-    let oracle = run_drained(false);
-    let crashed = run_drained(true);
-    assert_eq!(crashed, oracle);
-    assert_eq!(oracle.len(), 25);
-}
-
 /// A crash of the *new* border broker mid-relocation (before any fresh
 /// envelope was held back): `RelocationBegin` carries the client's node, so
 /// recovery re-attaches the client, re-arms the timeout and the replay

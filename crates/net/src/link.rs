@@ -89,6 +89,14 @@ fn timed_out(e: &std::io::Error) -> bool {
     )
 }
 
+/// Whether a socket read came back empty-handed on a healthy socket: it
+/// timed out, or a signal interrupted it.  Linux fails a read under
+/// `SO_RCVTIMEO` with `EINTR` once the process is stopped and continued
+/// (SIGSTOP/SIGCONT), so that is no reason to drop the connection.
+fn read_retryable(e: &std::io::Error) -> bool {
+    timed_out(e) || e.kind() == std::io::ErrorKind::Interrupted
+}
+
 /// An event arriving over the network, forwarded into the driver loop.
 #[derive(Debug)]
 pub(crate) enum Inbound {
@@ -896,7 +904,7 @@ fn spawn_ack_pump(
             let n = match stream.read(&mut chunk) {
                 Ok(0) => return lost(),
                 Ok(n) => n,
-                Err(e) if timed_out(&e) => continue,
+                Err(e) if read_retryable(&e) => continue,
                 Err(_) => return lost(),
             };
             buf.extend_from_slice(&chunk[..n]);
@@ -1057,7 +1065,7 @@ pub(crate) fn spawn_reader(
             let n = match stream.read(&mut chunk) {
                 Ok(0) => return, // EOF
                 Ok(n) => n,
-                Err(e) if timed_out(&e) => {
+                Err(e) if read_retryable(&e) => {
                     // The stream paused: settle the ack owed, if any, and
                     // go back to the long poll.
                     if let Some((direction, _)) = owed.take() {

@@ -15,16 +15,23 @@
 //!    and that a zombie connection claiming the dead incarnation's epoch is
 //!    fenced off.
 //!
+//! A second drill freezes the transit broker with `SIGSTOP` for a moment
+//! shorter than any liveness horizon, resumes it with `SIGCONT` while
+//! publications keep flowing, and asserts that no broker counted a link
+//! loss and that delivery stayed exactly-once.
+//!
 //! Broker processes self-terminate after `--run-secs` as a safety net; the
 //! test kills them as soon as the scenario completes.
 
 mod common;
 
 use std::io::{BufRead, BufReader, Read, Write};
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use rebeca_broker::ConsumerLog;
+use rebeca_core::MobilitySystem;
 use rebeca_net::wire::Frame;
 use rebeca_net::{ClusterConfig, Endpoint, NetConfig, SystemBuilderTcp};
 use rebeca_sim::{DelayModel, NodeId, SimDuration, Topology};
@@ -41,6 +48,8 @@ const KILL_AFTER: u64 = 8;
 const BASE_EPOCH: u64 = 1;
 /// The epoch the relaunched broker 0 fences its own past with.
 const RESTART_EPOCH: u64 = 2;
+/// Publications sent before the frozen broker is resumed.
+const RESUME_AFTER: u64 = 8;
 
 /// Kills the spawned broker processes on scope exit, panic included.
 struct Cluster {
@@ -119,6 +128,58 @@ fn spawn_broker(
             None
         }
     }
+}
+
+/// Where broker `broker` keeps its WAL under the test's temp directory.
+fn wal_dir(tmp: &Path, broker: usize) -> PathBuf {
+    tmp.join(format!("wal{broker}"))
+}
+
+/// Writes a three-broker line cluster config on fresh loopback ports and
+/// starts one `rebeca-node` process per broker, retrying with new ports
+/// when a probed port was taken before a broker could bind it.
+fn launch_cluster(tmp: &Path, config_path: &Path) -> (Cluster, Vec<Endpoint>) {
+    let mut attempt = 0;
+    'retry: loop {
+        attempt += 1;
+        let endpoints: Vec<Endpoint> = probe_ports()
+            .into_iter()
+            .map(|p| Endpoint::new("127.0.0.1", p))
+            .collect();
+        let cluster_cfg = ClusterConfig {
+            endpoints: endpoints.clone(),
+            topology: Topology::line(3),
+            delay: DelayModel::constant_millis(1),
+            seed: 7,
+        };
+        std::fs::write(config_path, cluster_cfg.render()).expect("write config");
+        let mut cluster = Cluster {
+            children: Vec::new(),
+        };
+        for broker in 0..3 {
+            let dir = wal_dir(tmp, broker);
+            std::fs::create_dir_all(&dir).expect("create wal dir");
+            match spawn_broker(config_path, broker, BASE_EPOCH, &dir, false) {
+                Some(child) => cluster.children.push(child),
+                None if attempt < 3 => continue 'retry,
+                None => panic!("broker processes failed to start after {attempt} attempts"),
+            }
+        }
+        return (cluster, endpoints);
+    }
+}
+
+/// The client process of a chaos drill: a TCP driver hosting the consumer
+/// and the producer.  A short heartbeat makes it notice a broker's silence
+/// quickly.
+fn client_system(endpoints: &[Endpoint]) -> MobilitySystem {
+    common::builder(1)
+        .build_tcp(
+            NetConfig::new(endpoints.to_vec())
+                .seed(5)
+                .heartbeat(Duration::from_millis(100)),
+        )
+        .expect("client system builds")
 }
 
 /// The oracle: the identical interleaving — publications, relocation,
@@ -212,46 +273,10 @@ fn sigkilled_broker_recovers_without_losing_or_duplicating_a_frame() {
     let _ = std::fs::remove_dir_all(&tmp);
     std::fs::create_dir_all(&tmp).expect("create temp dir");
     let config_path = tmp.join("cluster.cfg");
-    let wal_dir = |broker: usize| tmp.join(format!("wal{broker}"));
+    let (mut cluster, endpoints) = launch_cluster(&tmp, &config_path);
 
-    let mut attempt = 0;
-    let (mut cluster, endpoints) = 'retry: loop {
-        attempt += 1;
-        let ports = probe_ports();
-        let endpoints: Vec<Endpoint> = ports
-            .iter()
-            .map(|&p| Endpoint::new("127.0.0.1", p))
-            .collect();
-        let cluster_cfg = ClusterConfig {
-            endpoints: endpoints.clone(),
-            topology: Topology::line(3),
-            delay: DelayModel::constant_millis(1),
-            seed: 7,
-        };
-        std::fs::write(&config_path, cluster_cfg.render()).expect("write config");
-        let mut cluster = Cluster {
-            children: Vec::new(),
-        };
-        for broker in 0..3 {
-            std::fs::create_dir_all(wal_dir(broker)).expect("create wal dir");
-            match spawn_broker(&config_path, broker, BASE_EPOCH, &wal_dir(broker), false) {
-                Some(child) => cluster.children.push(child),
-                None if attempt < 3 => continue 'retry,
-                None => panic!("broker processes failed to start after {attempt} attempts"),
-            }
-        }
-        break (cluster, endpoints);
-    };
-
-    // This process is the client process.  A short heartbeat makes the
-    // survivors notice the kill quickly.
-    let mut sys = common::builder(1)
-        .build_tcp(
-            NetConfig::new(endpoints.clone())
-                .seed(5)
-                .heartbeat(Duration::from_millis(100)),
-        )
-        .expect("client system builds");
+    // This process is the client process.
+    let mut sys = client_system(&endpoints);
     let consumer = sys.connect(CONSUMER, 0).expect("consumer connects");
     consumer
         .subscribe(&mut sys, common::parking_filter())
@@ -294,7 +319,7 @@ fn sigkilled_broker_recovers_without_losing_or_duplicating_a_frame() {
 
     // Relaunch broker 0 from its surviving WAL, epoch bumped so its zombie
     // incarnation can never interleave with it.
-    let relaunched = spawn_broker(&config_path, 0, RESTART_EPOCH, &wal_dir(0), true)
+    let relaunched = spawn_broker(&config_path, 0, RESTART_EPOCH, &wal_dir(&tmp, 0), true)
         .expect("broker 0 relaunches");
     cluster.children[0] = relaunched;
 
@@ -388,6 +413,93 @@ fn sigkilled_broker_recovers_without_losing_or_duplicating_a_frame() {
         chaos_sim_oracle(),
         "chaos delivery log must be byte-identical to the SimDriver oracle"
     );
+
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// Sends `kill -<signal>` to a broker process.
+fn signal(child: &Child, signal: &str) {
+    let status = Command::new("kill")
+        .arg(format!("-{signal}"))
+        .arg(child.id().to_string())
+        .status()
+        .expect("run kill");
+    assert!(status.success(), "kill -{signal} failed");
+}
+
+/// The journal of the broker process at `endpoint` after sequence number
+/// `cursor`.
+fn journal_after(endpoint: &Endpoint, cursor: u64) -> Vec<rebeca_obs::ObsEvent> {
+    rebeca_net::fetch_status(endpoint, Some(cursor), Duration::from_secs(5))
+        .expect("broker serves its journal")
+        .events
+}
+
+#[test]
+fn sigstopped_broker_resumes_without_dropping_a_link() {
+    let tmp = std::env::temp_dir().join(format!("rebeca-freeze-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    std::fs::create_dir_all(&tmp).expect("create temp dir");
+    let config_path = tmp.join("cluster.cfg");
+    let (cluster, endpoints) = launch_cluster(&tmp, &config_path);
+
+    let mut sys = client_system(&endpoints);
+    let consumer = sys.connect(CONSUMER, 0).expect("consumer connects");
+    consumer
+        .subscribe(&mut sys, common::parking_filter())
+        .expect("subscribe");
+    let producer = sys.connect(PRODUCER, 2).expect("producer connects");
+    let now = sys.now();
+    sys.run_until(now + SimDuration::from_millis(500));
+    for i in 1..=MOVE_AFTER {
+        producer.publish(&mut sys, vacancy(i)).expect("publish");
+    }
+    assert!(
+        run_until_deliveries(&mut sys, MOVE_AFTER as usize, 60_000),
+        "pre-freeze publications not delivered"
+    );
+    let cursors: Vec<u64> = endpoints
+        .iter()
+        .map(|e| journal_after(e, 0).last().map_or(0, |event| event.seq))
+        .collect();
+
+    // Freeze broker 1, the transit hop between producer and consumer, for
+    // 100 ms: under every process's liveness horizon (heartbeat ×
+    // missed_heartbeats, 300 ms in this client process).  Readers blocked
+    // in a timed socket read wake with EINTR when it resumes.
+    signal(&cluster.children[1], "STOP");
+    for i in MOVE_AFTER + 1..=RESUME_AFTER {
+        producer.publish(&mut sys, vacancy(i)).expect("publish");
+    }
+    let now = sys.now();
+    sys.run_until(now + SimDuration::from_millis(100));
+    signal(&cluster.children[1], "CONT");
+    for i in RESUME_AFTER + 1..=PUBLICATIONS {
+        producer.publish(&mut sys, vacancy(i)).expect("publish");
+    }
+    assert!(
+        run_until_deliveries(&mut sys, PUBLICATIONS as usize, 60_000),
+        "publications across the freeze not delivered"
+    );
+    // Give a connection the resume broke time to be noticed and journaled.
+    let now = sys.now();
+    sys.run_until(now + SimDuration::from_millis(500));
+
+    // `net.link_down` and `net.link_failed` journal `link.drop` and
+    // `link.failed`; a heartbeat-silence `link.drop` is no connection loss.
+    for (broker, (endpoint, cursor)) in endpoints.iter().zip(cursors).enumerate() {
+        let losses: Vec<_> = journal_after(endpoint, cursor)
+            .into_iter()
+            .filter(|e| matches!(e.kind.as_str(), "link.drop" | "link.failed"))
+            .filter(|e| !e.detail.contains("heartbeat-silence"))
+            .collect();
+        assert!(
+            losses.is_empty(),
+            "broker {broker} lost a link across the freeze: {losses:?}"
+        );
+    }
+    assert_exactly_once(sys.client_log(CONSUMER).unwrap());
 
     drop(cluster);
     let _ = std::fs::remove_dir_all(&tmp);

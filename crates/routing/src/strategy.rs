@@ -147,29 +147,6 @@ impl<D: Ord + Clone> RoutingEngine<D> {
         }
     }
 
-    /// Routes a whole queue of notifications at once via the routing
-    /// table's batch matcher.  Equivalent to calling
-    /// [`RoutingEngine::route`] per notification; under
-    /// [`RoutingStrategyKind::Flooding`] every notification floods to all
-    /// links except `from`.
-    pub fn route_batch<N>(&self, ns: &[N], from: Option<&D>, all_links: &[D]) -> Vec<Vec<D>>
-    where
-        N: std::borrow::Borrow<Notification> + Sync,
-        D: Sync,
-    {
-        match self.kind {
-            RoutingStrategyKind::Flooding => {
-                let flood: Vec<D> = all_links
-                    .iter()
-                    .filter(|l| Some(*l) != from)
-                    .cloned()
-                    .collect();
-                ns.iter().map(|_| flood.clone()).collect()
-            }
-            _ => self.table.matching_destinations_batch(ns, from),
-        }
-    }
-
     /// Processes a subscription received from `from` and decides towards
     /// which of the `neighbours` it has to be propagated, and as what filter.
     ///
@@ -483,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn route_batch_and_visitor_agree_with_route() {
+    fn route_visitor_agrees_with_route() {
         for kind in [
             RoutingStrategyKind::Flooding,
             RoutingStrategyKind::Simple,
@@ -492,13 +469,10 @@ mod tests {
             let mut e: RoutingEngine<u32> = RoutingEngine::new(kind);
             e.handle_subscribe(parking(3), 1, LINKS);
             e.handle_subscribe(parking(10), 2, LINKS);
-            let ns: Vec<Notification> = (0..5).map(|i| vacancy(i * 3)).collect();
-            let batch = e.route_batch(&ns, Some(&3), LINKS);
-            for (n, dests) in ns.iter().zip(&batch) {
-                assert_eq!(dests, &e.route(n, Some(&3), LINKS), "{kind:?}");
+            for n in (0..5).map(|i| vacancy(i * 3)) {
                 let mut visited = Vec::new();
-                e.for_each_route(n, Some(&3), LINKS, |d| visited.push(*d));
-                assert_eq!(&visited, dests, "{kind:?}");
+                e.for_each_route(&n, Some(&3), LINKS, |d| visited.push(*d));
+                assert_eq!(visited, e.route(&n, Some(&3), LINKS), "{kind:?}");
             }
         }
     }

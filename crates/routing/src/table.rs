@@ -20,9 +20,7 @@
 //! [`RoutingTable::contains_entry`] become O(1) hash lookups.
 //!
 //! [`RoutingTable::matching_destinations`] runs the counting algorithm over
-//! subgroups instead of scanning all filters (and
-//! [`RoutingTable::matching_destinations_batch`] matches whole notification
-//! queues with the index's batch kernel), while the covering-based queries
+//! subgroups instead of scanning all filters, while the covering-based queries
 //! ([`RoutingTable::is_covered`], [`RoutingTable::remove_covered_by`],
 //! [`RoutingTable::covered_entries`]) run the same counting walk over
 //! deduplicated predicates in the covering domain.
@@ -304,30 +302,6 @@ impl<D: Ord + Clone> RoutingTable<D> {
         });
     }
 
-    /// The matching destinations of a whole queue of notifications, via the
-    /// index's batch kernel (every posting list is walked once per
-    /// 64-notification chunk; chunks fan out across worker threads on
-    /// multicore machines).  Equivalent to calling
-    /// [`RoutingTable::matching_destinations`] per notification.
-    pub fn matching_destinations_batch<N>(&self, ns: &[N], exclude: Option<&D>) -> Vec<Vec<D>>
-    where
-        N: std::borrow::Borrow<Notification> + Sync,
-        D: Sync,
-    {
-        self.index
-            .match_batch(ns)
-            .into_iter()
-            .map(|sgids| {
-                let dests: BTreeSet<&D> = sgids
-                    .into_iter()
-                    .flat_map(|sgid| self.subgroups[sgid].dests.keys())
-                    .filter(|d| Some(*d) != exclude)
-                    .collect();
-                dests.into_iter().cloned().collect()
-            })
-            .collect()
-    }
-
     /// The destinations holding at least one filter that *overlaps* the given
     /// filter (used to decide where a new subscription or a fetch request has
     /// to travel).  Scans subgroups (distinct filters), not entries.
@@ -591,26 +565,6 @@ mod tests {
         t.insert(parking(20), 2);
         let covered = t.covered_entries(&parking(10));
         assert_eq!(covered, vec![(&1, &parking(3))]);
-    }
-
-    #[test]
-    fn batch_matching_agrees_with_per_notification_routing() {
-        for shards in [1, 4] {
-            let mut t: RoutingTable<u32> = RoutingTable::with_shards(shards);
-            for i in 0..40 {
-                t.insert(parking((i % 7) as i64), i % 5);
-            }
-            let ns: Vec<Notification> = (0..90).map(|i| vacancy((i % 9) as i64)).collect();
-            let batch = t.matching_destinations_batch(&ns, Some(&2));
-            assert_eq!(batch.len(), ns.len());
-            for (n, dests) in ns.iter().zip(&batch) {
-                assert_eq!(
-                    dests,
-                    &t.matching_destinations(n, Some(&2)),
-                    "{shards} shards"
-                );
-            }
-        }
     }
 
     #[test]

@@ -117,7 +117,6 @@ GATED_PREFIXES = (
     "shards/single/",
     "shards/batch/",
     "churn/relocation/",
-    "churn/drain_",
     "churn/link_messages/",
     "session/quickstart/",
     "net/quickstart/",
@@ -160,12 +159,8 @@ RATIO_GATES = [
     # small hosts, so its within-run ratio flaps against any single-mode
     # baseline.  The 100k pair is additionally held to MIN_BATCH_SPEEDUP by
     # the headline batch-speedup check below; see RATIO_FLOORS.
-    # Mobility engine: the drained transit path must not grow more expensive
-    # relative to immediate routing (the drain's link-message reduction is
-    # asserted inside churn_bench itself; this guards its CPU cost), and the
-    # full relocation churn must stay within its multiple of the
-    # no-relocation event-loop floor.
-    ("churn/drain_off/2000", "churn/drain_on/2000"),
+    # Mobility engine: the full relocation churn must stay within its
+    # multiple of the no-relocation event-loop floor.
     # Reference side = the static (no-relocation) floor: the gate trips when
     # the relocation run loses ground against it, i.e. when per-relocation
     # overhead (WAL appends, floods, replays) regresses.
