@@ -14,17 +14,18 @@
 //!    carrying every [`Message`](rebeca_broker::Message) variant, plus the
 //!    `Hello` handshake (node id, epoch, dial-back endpoint, link delay
 //!    model) and heartbeats;
-//! 2. **link layer** (`link` module) — per connection direction a sans-IO
-//!    outbound state machine owned by the event loop (sequence numbers,
-//!    resend window, one write per loop turn), a cold dialer thread, a cold
-//!    ack-pump thread, and a decode-and-forward reader thread on the
-//!    receiving side.  Links are **self-healing**: a dropped socket is
-//!    redialled with exponential backoff and jitter, unacknowledged frames
-//!    are replayed from a bounded resend window (receivers deduplicate by
-//!    per-direction sequence number and acknowledge cumulatively, every 32
-//!    frames or after a 2 ms pause), and `Hello` epochs fence off zombie
-//!    incarnations of a restarted peer.  [`FaultPlan`] injects
-//!    deterministic socket drops for chaos testing;
+//! 2. **link layer** (`link` module) — one connection per direction between
+//!    two processes, shared by every node pair between them: a sans-IO
+//!    outbound state machine owned by the event loop (one `Hello` per pair,
+//!    one sequence, resend window, one write per loop turn), a cold dialer
+//!    thread, a cold ack-pump thread, and a decode-and-forward reader thread
+//!    on the receiving side.  Links are **self-healing**: a dropped socket
+//!    is redialled with exponential backoff and jitter, unacknowledged
+//!    frames are replayed from a bounded resend window (receivers
+//!    deduplicate by sequence number per node pair and acknowledge
+//!    cumulatively, every 32 frames or after a 2 ms pause), and `Hello`
+//!    epochs fence off zombie incarnations of a restarted peer.
+//!    [`FaultPlan`] injects deterministic socket drops for chaos testing;
 //! 3. **[`TcpDriver`]** — the [`Driver`](rebeca_core::Driver)
 //!    implementation: an event loop over the locally hosted nodes with real
 //!    `Instant` timers, sharing the FIFO clamp and event-ordering machinery

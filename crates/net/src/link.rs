@@ -1,19 +1,28 @@
 //! The link layer: blocking sockets, one loop-owned outbound state machine
-//! per directed link, self-healing across connection losses.
+//! per peer process, self-healing across connection losses.
 //!
-//! A TCP link between two nodes is made of up to two *directed*
-//! connections, each owned by the sending side.  Thread inventory per
-//! directed connection — one reader at the receiver; at the sender one cold
-//! dialer, one cold ack pump and **no writer thread**:
+//! Two processes talk over up to two *directed* connections, each owned by
+//! the sending side, and every node pair `(from, to)` between them shares
+//! the sender's one: its frames keep their `(from, to)` header.  A peer
+//! process is known by the endpoint it is dialled at — a broker by its
+//! configured endpoint (co-hosted brokers share one), a client by the
+//! `listen` endpoint its `Hello` announced.  Thread inventory per directed
+//! connection — one reader at the receiver; at the sender one cold dialer,
+//! one cold ack pump and **no writer thread** — so the threads of a process
+//! follow its peer processes, not its nodes:
 //!
-//! * the sender's **event loop** owns the [`Link`]: the sequence counter,
-//!   the resend window (one reusable buffer of encoded frames), the
-//!   connected socket.  A send is sequenced and encoded straight into the
-//!   window ([`Outbound::enqueue`]); the loop writes everything a turn
-//!   produced with **one `write` per link** ([`Link::flush`]) — coalescing
-//!   under load, no hand-off when idle.  Handshake, replay, idle
-//!   [`Frame::Heartbeat`]s and [`FaultPlan`] drops act on the same
-//!   single-owner state, so nothing can interleave with a data flush.
+//! * the sender's **event loop** owns the [`Link`]: the node pairs it
+//!   carries, one sequence counter, one resend window (one reusable buffer
+//!   of encoded frames), the connected socket.  A send is sequenced and
+//!   encoded straight into the window ([`Outbound::enqueue`]); the loop
+//!   writes everything a turn produced with **one `write` per connection**
+//!   ([`Link::flush`]) — coalescing under load, no hand-off when idle.
+//!   Introductions stay per pair: a fresh connection writes the `Hello` of
+//!   every pair it carries, and a pair first used mid-connection has its
+//!   `Hello` written ahead of the flush that carries its first frame.
+//!   Handshake, replay, idle [`Frame::Heartbeat`]s and [`FaultPlan`] drops
+//!   act on the same single-owner state, so nothing can interleave with a
+//!   data flush.
 //! * one cold **dialer** thread ([`Link::spawn`]) dials the peer's listen
 //!   endpoint (retrying until the peer process is up), hands the loop a
 //!   connected socket ([`ConnSignal::Connected`]) and sleeps until the loop
@@ -31,25 +40,29 @@
 //! * the receiver's **reader thread** ([`spawn_reader`]) serves one
 //!   accepted connection: it decodes frames off the socket and forwards
 //!   them as [`Inbound`] events into the driver's event loop channel,
-//!   suppressing duplicate sequence numbers (replays of frames that did
-//!   arrive before the crash).  Acknowledgements are cumulative and
-//!   *delayed*: one `Ack` per [`ACK_EVERY`] sequenced frames, or when the
-//!   stream pauses for [`ACK_DELAY`] with one owed.  A corrupt stream
-//!   (checksum mismatch, unknown tag) closes the connection with a typed
-//!   error — never a panic.
+//!   suppressing duplicate sequence numbers per node pair (replays of
+//!   frames that did arrive before the crash).  It tracks every node
+//!   introduced on the connection: heartbeats are attributed to all of
+//!   them, and a `Message` from a node never introduced is dropped and
+//!   counted.  Acknowledgements are cumulative and *delayed*: one `Ack`
+//!   per [`ACK_EVERY`] sequenced frames, or when the stream pauses for
+//!   [`ACK_DELAY`] with one owed.  A corrupt stream (checksum mismatch,
+//!   unknown tag) closes the connection with a typed error — never a
+//!   panic.
 //!
 //! Epoch fencing makes the `Hello` restart epoch load-bearing: the shared
 //! [`LinkRegistry`] records the newest epoch seen per peer node, a reader
 //! rejects a `Hello` that regresses it (answering [`Frame::Fenced`]), and
-//! established connections from a superseded epoch are torn down — a
-//! zombie pre-crash incarnation can never interleave with its successor.
+//! an established connection is torn down as soon as any node introduced
+//! on it is superseded — a zombie pre-crash incarnation can never
+//! interleave with its successor.
 //!
 //! TCP guarantees per-connection FIFO, and a new connection replays the
-//! unacknowledged suffix in order before anything fresh, so per-direction
-//! FIFO — the link contract of the paper's Section 2.1 — holds across
-//! connection generations: driver send order → link window order → socket
-//! order (replayed prefix first) → reader order (duplicates dropped) →
-//! event channel order.
+//! unacknowledged suffix in order before anything fresh, so one send order
+//! per process pair holds across connection generations: driver send order
+//! → connection window order → socket order (replayed prefix first) →
+//! reader order (duplicates dropped) → event channel order.  Per-pair FIFO
+//! — the link contract of the paper's Section 2.1 — is a subsequence of it.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -124,11 +137,12 @@ pub(crate) enum Inbound {
         /// The message.
         message: Message,
     },
-    /// A liveness beacon from an identified peer (a heartbeat before the
-    /// connection's `Hello` has no sender and is dropped at the reader).
+    /// A liveness beacon from an identified peer process (a heartbeat
+    /// before the connection's first `Hello` has no sender and is dropped
+    /// at the reader).
     Heartbeat {
-        /// The peer the connection was introduced by.
-        from: NodeId,
+        /// Every node introduced on the connection.
+        from: Vec<NodeId>,
         /// The peer's restart epoch.
         epoch: u64,
     },
@@ -150,13 +164,11 @@ pub(crate) enum Inbound {
         /// numbers strictly greater than this.
         spans_after: Option<u64>,
     },
-    /// A dialer or ack pump reporting on the outbound link `local → peer`;
-    /// the loop hands it to [`Link::on_signal`].
+    /// A dialer or ack pump reporting on an outbound connection; the loop
+    /// hands it to [`Link::on_signal`].
     Conn {
-        /// The local node the link sends for.
-        local: NodeId,
-        /// The peer the link dials.
-        peer: NodeId,
+        /// The connection's [`LinkConfig::id`].
+        link: usize,
         /// The connection concerned (1 = the link's first; for a redial
         /// attempt, the one that was lost).
         generation: u64,
@@ -180,17 +192,20 @@ pub(crate) enum Inbound {
         /// The duplicate sequence number.
         seq: u64,
     },
+    /// A reader dropped a `Message` from a node never introduced on its
+    /// connection: the driver would not know how to answer it.
+    Unintroduced,
     /// An admin [`Frame::LinkDrop`] asked the driver to force-drop its
-    /// connections towards `peer` (fault injection).
+    /// connection towards `peer` (fault injection).
     AdminDrop {
-        /// The peer whose links should be dropped.
+        /// The peer whose connection should be dropped.
         peer: NodeId,
     },
 }
 
-/// A state transition of one outbound link, raised by the event loop as it
-/// drives the [`Link`] — or, for `Redial`, `Down` and `Fenced`, reported to
-/// it by the link's helper threads ([`ConnSignal::Event`]).
+/// A state transition of one outbound connection, raised by the event loop
+/// as it drives the [`Link`] — or, for `Redial`, `Down` and `Fenced`,
+/// reported to it by the link's helper threads ([`ConnSignal::Event`]).
 #[derive(Debug)]
 pub(crate) enum LinkEvent {
     /// Dial + handshake succeeded; `resent` unacknowledged frames that had
@@ -238,19 +253,19 @@ pub(crate) enum ConnSignal {
 /// redial + resend path in tests and benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Restrict the fault to links towards this peer node index
-    /// (`None` = every link of the driver).
+    /// Restrict the fault to the connection that carries frames to this
+    /// peer node index (`None` = every connection of the driver).
     pub peer: Option<usize>,
     /// Drop the connection once this many sequenced frames have been
-    /// written on the link.
+    /// written on it, whichever node pairs they belong to.
     pub drop_after_frames: u64,
     /// Fire once (`true`) or every `drop_after_frames` frames (`false`).
     pub once: bool,
 }
 
 impl FaultPlan {
-    /// A one-shot plan: drop every link's connection after `frames`
-    /// sequenced frames.
+    /// A one-shot plan: drop every connection after `frames` sequenced
+    /// frames.
     pub fn drop_after(frames: u64) -> Self {
         Self {
             peer: None,
@@ -259,7 +274,9 @@ impl FaultPlan {
         }
     }
 
-    /// Restricts the plan to links towards one peer node index.
+    /// Restricts the plan to the connection that carries frames to node
+    /// `peer`: the one to that node's process, shared by every node pair
+    /// towards it.
     pub fn on_peer(mut self, peer: usize) -> Self {
         self.peer = Some(peer);
         self
@@ -272,16 +289,15 @@ impl FaultPlan {
     }
 }
 
-/// The knob set of one outbound link.
+/// The knob set of one outbound connection.
 pub(crate) struct LinkConfig {
-    /// The peer's listen endpoint to dial.
+    /// The driver's name for the connection, stamped on its helper
+    /// threads' reports ([`Inbound::Conn`]).
+    pub id: usize,
+    /// The peer process's listen endpoint to dial.
     pub target: Endpoint,
-    /// The local node the link sends for.
-    pub local: NodeId,
-    /// The peer node the link feeds.
-    pub peer: NodeId,
-    /// The handshake to (re)send on every fresh connection.
-    pub hello: Frame,
+    /// This process's dial-back endpoint, announced in every `Hello`.
+    pub listen: Endpoint,
     /// Socket write timeout — the liveness horizon: a peer that takes no
     /// byte for this long is a broken connection, not a reason to wedge
     /// the event loop.
@@ -290,10 +306,11 @@ pub(crate) struct LinkConfig {
     pub dial_retry: Duration,
     /// Backoff cap for redials after a connection loss.
     pub redial_max: Duration,
-    /// Maximum unacknowledged frames held for replay; overflow fails the
-    /// link loudly.
+    /// Maximum unacknowledged frames held for replay per node pair carried;
+    /// overflow fails the connection loudly.
     pub resend_window: usize,
-    /// The local process's restart epoch (stamped on heartbeats).
+    /// The local process's restart epoch (stamped on handshakes and
+    /// heartbeats).
     pub epoch: u64,
     /// Optional fault injection plan.
     pub fault: Option<FaultPlan>,
@@ -391,7 +408,9 @@ impl LinkRegistry {
 
     /// Records `seq` on the `(from, to)` direction.  Returns `true` when
     /// the frame is fresh (forward it) and `false` for a duplicate (drop
-    /// it, but still acknowledge).
+    /// it, but still acknowledge).  A connection's pairs share one
+    /// increasing sequence, so each pair sees an increasing subsequence of
+    /// it, and what arrived of it is always a prefix.
     pub fn accept_seq(&self, from: usize, to: usize, seq: u64) -> bool {
         let mut inner = self.inner.lock().unwrap();
         let high = inner.recv_high.entry((from, to)).or_insert(0);
@@ -402,23 +421,13 @@ impl LinkRegistry {
             true
         }
     }
-
-    /// The receive high-water mark of the `(from, to)` direction.
-    pub fn recv_high(&self, from: usize, to: usize) -> u64 {
-        self.inner
-            .lock()
-            .unwrap()
-            .recv_high
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(0)
-    }
 }
 
-/// The sans-IO outbound half of one directed link: sequence numbers, the
-/// resend window, the write cursor and the fault plan.  Everything that
-/// touches a socket takes it as `impl Write`, so the whole contract is unit
-/// tested against a byte vector.
+/// The sans-IO outbound half of one connection to a peer process: the node
+/// pairs it carries and their handshakes, one sequence space for all of
+/// them, the resend window, the write cursor and the fault plan.
+/// Everything that touches a socket takes it as `impl Write`, so the whole
+/// contract is unit tested against a byte vector.
 ///
 /// The window is ONE buffer of encoded frames, oldest unacknowledged first:
 ///
@@ -432,13 +441,23 @@ impl LinkRegistry {
 /// frames enqueued while the link was down, then fresh frames" is the same
 /// flush — no frame exists in two places, so none can leave twice.
 pub(crate) struct Outbound {
-    from: NodeId,
-    to: NodeId,
-    hello: Vec<u8>,
+    /// The node pairs `(from, to)` the connection carries, in the order
+    /// they were first used.
+    pairs: Vec<(NodeId, NodeId)>,
+    /// The encoded `Hello` of every pair, in `pairs` order.
+    hellos: Vec<u8>,
+    /// How much of `hellos` the current connection has been sent: the rest
+    /// belongs to pairs added since, and leaves ahead of the next flush.
+    introduced: usize,
+    listen: Endpoint,
+    epoch: u64,
+    /// Unacknowledged frames allowed per pair.
     resend_window: usize,
     /// Largest encoded frame the peer accepts (header included).
     max_frame: usize,
     fault: Option<FaultPlan>,
+    /// Whether `fault` applies: the connection carries frames to its peer.
+    fault_armed: bool,
     /// Sequence number of the next frame; the frames in the window are
     /// `next_seq - lens.len() .. next_seq`.
     next_seq: u64,
@@ -462,14 +481,15 @@ pub(crate) struct Outbound {
 impl Outbound {
     pub fn new(cfg: &LinkConfig) -> Self {
         Self {
-            from: cfg.local,
-            to: cfg.peer,
-            hello: cfg.hello.encode_framed(),
+            pairs: Vec::new(),
+            hellos: Vec::new(),
+            introduced: 0,
+            listen: cfg.listen.clone(),
+            epoch: cfg.epoch,
             resend_window: cfg.resend_window,
             max_frame: MAX_FRAME_LEN as usize + FRAME_HEADER_LEN,
-            fault: cfg
-                .fault
-                .filter(|f| f.peer.is_none() || f.peer == Some(cfg.peer.index())),
+            fault: cfg.fault,
+            fault_armed: false,
             next_seq: 1,
             window: Vec::new(),
             lens: VecDeque::new(),
@@ -484,23 +504,55 @@ impl Outbound {
 
     /// Whether a flush would write anything.
     pub fn pending(&self) -> bool {
-        self.written < self.window.len()
+        self.introduced < self.hellos.len() || self.written < self.window.len()
     }
 
-    /// Sequences `message` and encodes it into the window.  A frame over
-    /// the receiver's size limit is split into halves (batch payloads only)
-    /// until every piece fits; pieces are sequenced in final order, so
-    /// per-direction FIFO — and therefore exactly-once delivery — is
-    /// preserved.
+    /// Adds the node pair `from → to` to the connection: its `Hello` goes
+    /// out on every fresh connection from now on, and ahead of the next
+    /// flush on the current one; the window grows by `resend_window`
+    /// frames.  Returns `true` when the link had nothing unwritten before,
+    /// like [`Outbound::enqueue`].
+    pub fn add_pair(&mut self, from: NodeId, to: NodeId, delay: DelayModel) -> bool {
+        let first_unwritten = !self.pending();
+        self.pairs.push((from, to));
+        Frame::Hello {
+            from,
+            to,
+            epoch: self.epoch,
+            listen: self.listen.clone(),
+            delay,
+        }
+        .encode_framed_into(&mut self.hellos);
+        self.fault_armed |= self
+            .fault
+            .is_some_and(|f| f.peer.is_none_or(|p| p == to.index()));
+        first_unwritten
+    }
+
+    /// The distinct peer nodes the connection carries frames to.
+    pub fn peers(&self) -> Vec<NodeId> {
+        let mut peers: Vec<NodeId> = self.pairs.iter().map(|&(_, to)| to).collect();
+        peers.sort_unstable();
+        peers.dedup();
+        peers
+    }
+
+    /// Sequences `message` from `from` to `to` and encodes it into the
+    /// window.  A frame over the receiver's size limit is split into halves
+    /// (batch payloads only) until every piece fits; pieces are sequenced
+    /// in final order, so per-pair FIFO — and therefore exactly-once
+    /// delivery — is preserved.
     ///
     /// `Ok(true)` means the link had nothing unwritten before: it is the
     /// caller's cue to put the link on its flush list.  `Err` means the
     /// frame was refused: `Some(event)` when this very frame failed the
     /// link (an unsplittable oversized frame, or more than `resend_window`
-    /// frames unacknowledged — checked against the peer's *current* ack
-    /// mark), `None` when the link was already closed.
+    /// frames per pair carried unacknowledged — checked against the peer's
+    /// *current* ack mark), `None` when the link was already closed.
     pub fn enqueue(
         &mut self,
+        from: NodeId,
+        to: NodeId,
         delay_micros: u64,
         message: Message,
     ) -> Result<bool, Option<LinkEvent>> {
@@ -509,17 +561,19 @@ impl Outbound {
         }
         let first_unwritten = !self.pending();
         let pushed = self.push(Frame::Message {
-            from: self.from,
-            to: self.to,
+            from,
+            to,
             delay_micros,
             seq: 0,
             message,
         });
         self.prune();
+        let limit = self.resend_window * self.pairs.len();
         let reason = match pushed {
             Err(reason) => reason,
-            Ok(()) if self.lens.len() > self.resend_window => format!(
-                "resend window overflow: {} unacked frames exceed the limit of {}",
+            Ok(()) if self.lens.len() > limit => format!(
+                "resend window overflow: {} unacked frames exceed the limit of {limit} \
+                 ({} per node pair)",
                 self.lens.len(),
                 self.resend_window
             ),
@@ -580,10 +634,11 @@ impl Outbound {
         }
     }
 
-    /// Opens a fresh connection: writes the handshake and rewinds the write
-    /// cursor to the oldest unacknowledged frame, so the next flush starts
-    /// exactly where the old connection provably left off.  Returns how
-    /// many of the frames to replay had been written before.
+    /// Opens a fresh connection: writes the handshake of every pair in one
+    /// `write` and rewinds the write cursor to the oldest unacknowledged
+    /// frame, so the next flush starts exactly where the old connection
+    /// provably left off.  Returns how many of the frames to replay had
+    /// been written before.
     pub fn hello(
         &mut self,
         sock: &mut impl Write,
@@ -592,17 +647,23 @@ impl Outbound {
         self.prune();
         self.written = self.head;
         metrics.incr("net.socket_writes");
-        sock.write_all(&self.hello)?;
+        sock.write_all(&self.hellos)?;
+        self.introduced = self.hellos.len();
         let oldest = self.next_seq - self.lens.len() as u64;
         Ok((self.sent_high + 1).saturating_sub(oldest) as usize)
     }
 
-    /// Writes everything not yet written on this connection with one
-    /// `write`.  `Ok(true)` means the fault plan fired at this write
-    /// boundary; like an error, it obliges the caller to drop the
-    /// connection.
+    /// Writes everything not yet written on this connection: the `Hello`s
+    /// of pairs added since it came up, then the window with one `write`.
+    /// `Ok(true)` means the fault plan fired at this write boundary; like
+    /// an error, it obliges the caller to drop the connection.
     pub fn flush(&mut self, sock: &mut impl Write, metrics: &mut Metrics) -> std::io::Result<bool> {
-        if !self.pending() {
+        if self.introduced < self.hellos.len() {
+            metrics.incr("net.socket_writes");
+            sock.write_all(&self.hellos[self.introduced..])?;
+            self.introduced = self.hellos.len();
+        }
+        if self.written == self.window.len() {
             return Ok(false);
         }
         metrics.incr("net.socket_writes");
@@ -611,7 +672,7 @@ impl Outbound {
         let newest = self.next_seq - 1;
         self.fault_count += newest.saturating_sub(self.sent_high);
         self.sent_high = self.sent_high.max(newest);
-        if let Some(plan) = self.fault {
+        if let Some(plan) = self.fault.filter(|_| self.fault_armed) {
             if self.fault_count >= plan.drop_after_frames {
                 if plan.once {
                     self.fault = None;
@@ -630,12 +691,13 @@ impl Outbound {
         self.window = Vec::new();
         self.lens.clear();
         (self.head, self.written) = (0, 0);
+        (self.hellos, self.introduced) = (Vec::new(), 0);
     }
 }
 
-/// One directed outbound link as the event loop owns it: the [`Outbound`]
-/// state machine plus the connected socket (when there is one) and the
-/// handle on the link's dialer thread.
+/// One outbound connection to a peer process as the event loop owns it:
+/// the [`Outbound`] state machine plus the connected socket (when there is
+/// one) and the handle on the connection's dialer thread.
 pub(crate) struct Link {
     out: Outbound,
     heartbeat: Vec<u8>,
@@ -672,14 +734,26 @@ impl Link {
         }
     }
 
+    /// See [`Outbound::add_pair`].
+    pub fn add_pair(&mut self, from: NodeId, to: NodeId, delay: DelayModel) -> bool {
+        self.out.add_pair(from, to, delay)
+    }
+
+    /// See [`Outbound::peers`].
+    pub fn peers(&self) -> Vec<NodeId> {
+        self.out.peers()
+    }
+
     /// See [`Outbound::enqueue`]; a link that fails hangs up for good (its
     /// dialer stays parked until the driver goes).
     pub fn enqueue(
         &mut self,
+        from: NodeId,
+        to: NodeId,
         delay_micros: u64,
         message: Message,
     ) -> Result<bool, Option<LinkEvent>> {
-        let result = self.out.enqueue(delay_micros, message);
+        let result = self.out.enqueue(from, to, delay_micros, message);
         if let Err(Some(_)) = result {
             self.hang_up();
         }
@@ -806,11 +880,12 @@ fn spawn_dialer(
     registry: Arc<LinkRegistry>,
 ) {
     std::thread::spawn(move || {
-        let (local, peer) = (cfg.local, cfg.peer);
+        let link = cfg.id;
+        // Distinct per dialling process (its listen port) and connection.
         let jitter_seed = cfg
             .epoch
             .wrapping_mul(0x1000_0001)
-            .wrapping_add(peer.index() as u64);
+            .wrapping_add(u64::from(cfg.listen.port()) << 16 | link as u64);
         let mut generation: u64 = 0;
         let mut redials: u64 = 0;
         // Redial attempts since a connection last ended for any reason
@@ -819,8 +894,7 @@ fn spawn_dialer(
         let backoff =
             |attempt| redial_backoff(attempt, cfg.dial_retry, cfg.redial_max, jitter_seed);
         let conn = move |generation, signal| Inbound::Conn {
-            local,
-            peer,
+            link,
             generation,
             signal,
         };
@@ -1005,13 +1079,18 @@ fn split_frame(frame: Frame) -> Option<(Frame, Frame)> {
 /// (duplicates are suppressed but still acknowledged), and a `Hello` whose
 /// restart epoch regresses the registry is answered with [`Frame::Fenced`]
 /// and the connection closed.  An established connection is torn down the
-/// same way as soon as a newer incarnation of its peer introduces itself.
+/// same way as soon as a newer incarnation of any node introduced on it
+/// introduces itself.  A `Message` from a node not introduced on the
+/// connection is dropped ([`Inbound::Unintroduced`]).
 ///
 /// Acknowledgements are cumulative and delayed: one [`Frame::Ack`] once
 /// [`ACK_EVERY`] sequenced frames have arrived since the last, or once the
 /// stream pauses for [`ACK_DELAY`] with one owed.  The pause is the socket
 /// read timeout, shortened from [`READ_POLL`] only while an ack is owed and
-/// restored by the first timeout that finds none.
+/// restored by the first timeout that finds none.  The ack carries the
+/// highest sequence number read on the connection: a connection starts at
+/// its sender's oldest unacknowledged frame and is FIFO, so everything
+/// below that number has arrived.
 pub(crate) fn spawn_reader(
     stream: TcpStream,
     tx: Sender<Inbound>,
@@ -1024,43 +1103,45 @@ pub(crate) fn spawn_reader(
         let mut stream = stream;
         let mut buf: Vec<u8> = Vec::with_capacity(4096);
         let mut chunk = [0u8; 16 * 1024];
-        // Who is on the other end and with which restart epoch, learned
-        // from the connection's Hello — needed to attribute heartbeats and
-        // to fence a zombie connection when its peer's epoch is superseded
-        // (admin connections never say Hello and stay anonymous).
-        let mut conn: Option<(NodeId, u64)> = None;
-        // While an ack is owed: the direction to acknowledge, and how many
-        // sequenced frames (duplicates included — the sender prunes its
-        // window either way) arrived since the last one.
-        let mut owed: Option<((NodeId, NodeId), u32)> = None;
+        // Every node introduced on the connection and the restart epoch it
+        // came with, learned from the Hellos — needed to attribute
+        // heartbeats, to admit its messages and to fence a zombie
+        // connection when any of them is superseded (admin connections
+        // never say Hello and stay anonymous).
+        let mut introduced: Vec<(NodeId, u64)> = Vec::new();
+        // While an ack is owed: the highest sequence number read, and how
+        // many sequenced frames (duplicates included — the sender prunes
+        // its window either way) arrived since the last ack.
+        let mut owed: Option<(u64, u32)> = None;
         let mut short_timeout = false;
         let registry = &*registry;
-        let acknowledge = |stream: &mut TcpStream, (from, to): (NodeId, NodeId)| {
-            let high = registry.recv_high(from.index(), to.index());
+        let acknowledge = |stream: &mut TcpStream, seq: u64| {
             // An ack write failure is not fatal here: if the connection is
             // dying the read path notices next.
-            let _ = stream.write_all(&Frame::Ack { seq: high }.encode_framed());
+            let _ = stream.write_all(&Frame::Ack { seq }.encode_framed());
             registry.acks_out.fetch_add(1, Ordering::Relaxed);
         };
         loop {
             if shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            // Zombie fencing: if a newer incarnation of the peer has
-            // introduced itself (on any connection of this driver), this
-            // pre-crash connection must not interleave with it.
-            if let Some((from, epoch)) = conn {
+            // Zombie fencing: if a newer incarnation of a node introduced
+            // here has introduced itself (on any connection of this
+            // driver), this pre-crash connection must not interleave with
+            // it.
+            let superseded = introduced.iter().find_map(|&(from, epoch)| {
                 let current = registry.current_epoch(from.index());
-                if current > epoch {
-                    let _ = stream.write_all(&Frame::Fenced { expected: current }.encode_framed());
-                    let _ = tx.send(Inbound::Stale {
-                        from,
-                        epoch,
-                        expected: current,
-                    });
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
+                (current > epoch).then_some((from, epoch, current))
+            });
+            if let Some((from, epoch, expected)) = superseded {
+                let _ = stream.write_all(&Frame::Fenced { expected }.encode_framed());
+                let _ = tx.send(Inbound::Stale {
+                    from,
+                    epoch,
+                    expected,
+                });
+                let _ = stream.shutdown(Shutdown::Both);
+                return;
             }
             let n = match stream.read(&mut chunk) {
                 Ok(0) => return, // EOF
@@ -1068,8 +1149,8 @@ pub(crate) fn spawn_reader(
                 Err(e) if read_retryable(&e) => {
                     // The stream paused: settle the ack owed, if any, and
                     // go back to the long poll.
-                    if let Some((direction, _)) = owed.take() {
-                        acknowledge(&mut stream, direction);
+                    if let Some((seq, _)) = owed.take() {
+                        acknowledge(&mut stream, seq);
                     }
                     if short_timeout {
                         let _ = stream.set_read_timeout(Some(READ_POLL));
@@ -1116,7 +1197,10 @@ pub(crate) fn spawn_reader(
                             return;
                         }
                         Admit::Ok => {
-                            conn = Some((from, epoch));
+                            match introduced.iter_mut().find(|(node, _)| *node == from) {
+                                Some(known) => known.1 = known.1.max(epoch),
+                                None => introduced.push((from, epoch)),
+                            }
                             Inbound::Hello {
                                 from,
                                 to,
@@ -1126,9 +1210,10 @@ pub(crate) fn spawn_reader(
                             }
                         }
                     },
-                    Frame::Heartbeat { epoch } => match conn {
-                        Some((from, _)) => Inbound::Heartbeat { from, epoch },
-                        None => continue,
+                    Frame::Heartbeat { .. } if introduced.is_empty() => continue,
+                    Frame::Heartbeat { epoch } => Inbound::Heartbeat {
+                        from: introduced.iter().map(|&(node, _)| node).collect(),
+                        epoch,
                     },
                     Frame::StatusRequest { events_after } => match stream.try_clone() {
                         Ok(reply) => Inbound::Status {
@@ -1161,8 +1246,17 @@ pub(crate) fn spawn_reader(
                         seq,
                         message,
                     } => {
+                        if !introduced.iter().any(|&(node, _)| node == from) {
+                            // Nobody said who this is: the driver would
+                            // have no delay, neighbour or dial-back
+                            // endpoint to answer it with.
+                            if tx.send(Inbound::Unintroduced).is_err() {
+                                return;
+                            }
+                            continue;
+                        }
                         if seq > 0 {
-                            owed = Some(((from, to), owed.map_or(1, |(_, n)| n + 1)));
+                            owed = Some(owed.map_or((seq, 1), |(high, n)| (high.max(seq), n + 1)));
                             if !registry.accept_seq(from.index(), to.index(), seq) {
                                 // A replay of a frame that did arrive
                                 // before the reconnect: suppress it, but
@@ -1186,8 +1280,8 @@ pub(crate) fn spawn_reader(
                 }
             }
             match owed {
-                Some((direction, n)) if n >= ACK_EVERY => {
-                    acknowledge(&mut stream, direction);
+                Some((seq, n)) if n >= ACK_EVERY => {
+                    acknowledge(&mut stream, seq);
                     owed = None;
                 }
                 Some(_) if !short_timeout => {
@@ -1330,15 +1424,23 @@ mod tests {
     fn registry_fences_stale_epochs_and_resets_seqs_on_new_incarnations() {
         let registry = LinkRegistry::default();
         assert!(matches!(registry.admit(0, 0), Admit::Ok));
-        assert!(registry.accept_seq(0, 1, 1));
-        assert!(registry.accept_seq(0, 1, 2));
-        assert!(!registry.accept_seq(0, 1, 2), "replay suppressed");
+        assert!(matches!(registry.admit(2, 0), Admit::Ok));
+        // Nodes 0 and 2 of one process share a connection to node 1, so
+        // their pairs share one sequence.
+        for (from, seq) in [(0, 1), (2, 2), (2, 3), (0, 4)] {
+            assert!(registry.accept_seq(from, 1, seq), "fresh {from}:{seq}");
+        }
+        // A reconnect replays 2-4: each is a duplicate of its own pair.
+        for (from, seq) in [(2, 2), (2, 3), (0, 4)] {
+            assert!(!registry.accept_seq(from, 1, seq), "replay {from}:{seq}");
+        }
         // A newer incarnation resets the node's receive high-water marks…
         assert!(matches!(registry.admit(0, 1), Admit::Ok));
         assert!(
             registry.accept_seq(0, 1, 1),
             "the successor's fresh seq 1 is not its predecessor's duplicate"
         );
+        assert!(!registry.accept_seq(2, 1, 3), "…and no other node's");
         // …and the predecessor's epoch is fenced from then on.
         match registry.admit(0, 0) {
             Admit::Stale { expected } => assert_eq!(expected, 1),
@@ -1347,18 +1449,14 @@ mod tests {
         assert_eq!(registry.current_epoch(0), 1);
     }
 
+    const N0: NodeId = NodeId(0);
+    const N1: NodeId = NodeId(1);
+
     fn config(port: u16, resend_window: usize, fault: Option<FaultPlan>) -> LinkConfig {
         LinkConfig {
+            id: 0,
             target: Endpoint::new("127.0.0.1", port),
-            local: NodeId::new(0),
-            peer: NodeId::new(1),
-            hello: Frame::Hello {
-                from: NodeId::new(0),
-                to: NodeId::new(1),
-                epoch: 0,
-                listen: Endpoint::new("127.0.0.1", 1),
-                delay: DelayModel::Constant(0),
-            },
+            listen: Endpoint::new("127.0.0.1", 1),
             write_timeout: Duration::from_secs(5),
             dial_retry: Duration::from_millis(10),
             redial_max: Duration::from_millis(100),
@@ -1368,8 +1466,14 @@ mod tests {
         }
     }
 
+    /// An outbound connection carrying the one pair `n0 → n1`, introduced
+    /// on a first connection.
     fn outbound(resend_window: usize, fault: Option<FaultPlan>) -> Outbound {
-        Outbound::new(&config(1, resend_window, fault))
+        let mut out = Outbound::new(&config(1, resend_window, fault));
+        out.add_pair(N0, N1, DelayModel::Constant(0));
+        out.hello(&mut Wire::default(), &mut Metrics::new())
+            .unwrap();
+        out
     }
 
     fn attach(i: u32) -> Message {
@@ -1380,7 +1484,7 @@ mod tests {
 
     fn enqueue_attaches(out: &mut Outbound, clients: std::ops::Range<u32>) {
         for i in clients {
-            out.enqueue(7, attach(i)).expect("frame accepted");
+            out.enqueue(N0, N1, 7, attach(i)).expect("frame accepted");
         }
     }
 
@@ -1427,13 +1531,15 @@ mod tests {
         // splits twice, into four frames.
         let pair = frame(Message::NotificationBatch(vec![envelope(1), envelope(2)]));
         out.max_frame = pair.encode_framed().len() + 8;
-        out.enqueue(7, attach(1)).unwrap();
+        out.enqueue(N0, N1, 7, attach(1)).unwrap();
         out.enqueue(
+            N0,
+            N1,
             7,
             Message::NotificationBatch((1..=8).map(envelope).collect()),
         )
         .unwrap();
-        out.enqueue(7, attach(2)).unwrap();
+        out.enqueue(N0, N1, 7, attach(2)).unwrap();
 
         let (mut wire, mut metrics) = (Wire::default(), Metrics::new());
         out.flush(&mut wire, &mut metrics).unwrap();
@@ -1513,10 +1619,50 @@ mod tests {
         assert!(once.flush(&mut wire, &mut metrics).unwrap());
         enqueue_attaches(&mut once, 1..4);
         assert!(!once.flush(&mut wire, &mut metrics).unwrap());
-        // A plan for another peer never applies.
+        // A plan for another peer does not apply…
         let mut other = outbound(1024, Some(FaultPlan::drop_after(1).on_peer(9)));
         enqueue_attaches(&mut other, 0..4);
         assert!(!other.flush(&mut wire, &mut metrics).unwrap());
+        // …until the connection carries frames to that peer too.
+        other.add_pair(N0, NodeId::new(9), DelayModel::Constant(0));
+        other
+            .enqueue(N0, NodeId::new(9), 7, attach(4))
+            .expect("frame accepted");
+        assert!(other.flush(&mut wire, &mut metrics).unwrap());
+    }
+
+    #[test]
+    fn a_pair_added_mid_connection_is_introduced_ahead_of_its_first_frame() {
+        let mut out = outbound(1024, None);
+        let mut metrics = Metrics::new();
+        let n2 = NodeId::new(2);
+        let mut first = Wire::default();
+        out.hello(&mut first, &mut metrics).unwrap();
+        enqueue_attaches(&mut out, 0..1);
+        out.flush(&mut first, &mut metrics).unwrap();
+
+        assert!(out.add_pair(n2, N1, DelayModel::Constant(0)), "now dirty");
+        out.enqueue(n2, N1, 7, attach(1)).expect("frame accepted");
+        out.flush(&mut first, &mut metrics).unwrap();
+        assert_eq!(first.0.len(), 4, "hello, frame 1, the new hello, frame 2");
+        assert!(matches!(
+            decode_all(&first.0[2])[..],
+            [Frame::Hello { from, to, .. }] if from == n2 && to == N1
+        ));
+        assert_eq!(seqs(&first.0[3]), vec![2], "one sequence for both pairs");
+
+        // A fresh connection introduces every pair in one write.
+        let mut second = Wire::default();
+        out.hello(&mut second, &mut metrics).unwrap();
+        let introduced: Vec<(NodeId, NodeId)> = decode_all(&second.0[0])
+            .into_iter()
+            .map(|f| match f {
+                Frame::Hello { from, to, .. } => (from, to),
+                other => panic!("expected a handshake, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(introduced, vec![(N0, N1), (n2, N1)]);
+        assert_eq!(out.peers(), vec![N1]);
     }
 
     #[test]
@@ -1575,7 +1721,7 @@ mod tests {
         }
         // Window full again, and this time no ack: loud failure.
         enqueue_attaches(&mut out, 40..44);
-        match out.enqueue(7, attach(44)) {
+        match out.enqueue(N0, N1, 7, attach(44)) {
             Err(Some(LinkEvent::Failed { reason })) => assert!(
                 reason.contains("resend window overflow: 5 unacked frames"),
                 "unexpected failure: {reason}"
@@ -1589,7 +1735,7 @@ mod tests {
         // Failed by an unsplittable oversized frame…
         let mut out = outbound(1024, None);
         out.max_frame = 16;
-        match out.enqueue(7, attach(1)) {
+        match out.enqueue(N0, N1, 7, attach(1)) {
             Err(Some(LinkEvent::Failed { reason })) => assert!(
                 reason.contains("unsplittable frame"),
                 "unexpected failure: {reason}"
@@ -1597,12 +1743,12 @@ mod tests {
             other => panic!("expected a loud failure, got {other:?}"),
         }
         out.max_frame = 1 << 20;
-        assert!(matches!(out.enqueue(7, attach(2)), Err(None)));
+        assert!(matches!(out.enqueue(N0, N1, 7, attach(2)), Err(None)));
         // …or closed by a fence.
         let mut out = outbound(1024, None);
         enqueue_attaches(&mut out, 0..3);
         out.close();
-        assert!(matches!(out.enqueue(7, attach(3)), Err(None)));
+        assert!(matches!(out.enqueue(N0, N1, 7, attach(3)), Err(None)));
         assert!(!out.pending(), "a closed link has nothing left to write");
     }
 
@@ -1637,6 +1783,9 @@ mod tests {
         assert!(requests.try_recv().expect("a redial request"), "backed off");
     }
 
+    /// The window holds `resend_window` frames per pair carried: a
+    /// connection of two pairs with a window of 4 fails at the ninth
+    /// unacknowledged frame, whichever pairs the frames belong to.
     #[test]
     fn resend_window_overflow_fails_the_link_loudly() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1649,6 +1798,9 @@ mod tests {
             shutdown.clone(),
             Arc::new(LinkRegistry::default()),
         );
+        let n2 = NodeId::new(2);
+        link.add_pair(N0, N1, DelayModel::Constant(0));
+        link.add_pair(n2, N1, DelayModel::Constant(0));
         let mut metrics = Metrics::new();
         // Accept the connection but never acknowledge anything.
         let (mut peer, _) = listener.accept().expect("accept");
@@ -1663,26 +1815,33 @@ mod tests {
             },
             other => panic!("the dialer did not connect: {other:?}"),
         }
-        for i in 0..4u32 {
-            link.enqueue(7, attach(i)).expect("within the window");
+        let from = |i: u32| if i.is_multiple_of(2) { N0 } else { n2 };
+        for i in 0..8u32 {
+            link.enqueue(from(i), N1, 7, attach(i))
+                .expect("within the window");
             assert!(link.flush(&mut metrics).is_none());
         }
-        match link.enqueue(7, attach(4)) {
+        match link.enqueue(N0, N1, 7, attach(8)) {
             Err(Some(LinkEvent::Failed { reason })) => assert!(
-                reason.contains("resend window overflow"),
+                reason.contains("resend window overflow: 9 unacked frames exceed the limit of 8"),
                 "unexpected failure: {reason}"
             ),
             other => panic!("no loud failure: {other:?}"),
         }
-        assert!(matches!(link.enqueue(7, attach(5)), Err(None)));
-        // The failed link hung up: the peer reads the handshake and the
-        // four frames, then EOF.
+        assert!(matches!(link.enqueue(n2, N1, 7, attach(9)), Err(None)));
+        // The failed link hung up: the peer reads both handshakes and the
+        // eight frames, then EOF.
         peer.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         let mut received = Vec::new();
         peer.read_to_end(&mut received)
             .expect("EOF after the failure");
-        assert_eq!(seqs(&received), vec![1, 2, 3, 4]);
+        let hellos = decode_all(&received)
+            .iter()
+            .filter(|f| matches!(f, Frame::Hello { .. }))
+            .count();
+        assert_eq!(hellos, 2, "one handshake per pair");
+        assert_eq!(seqs(&received), (1..=8).collect::<Vec<u64>>());
         shutdown.store(true, Ordering::SeqCst);
     }
 }

@@ -9,10 +9,12 @@
 //!
 //! The driver runs a single-threaded event loop over the local nodes:
 //! dispatch due events, harvest sends and timers, encode each send straight
-//! into its link's outbound window, and write every link that has something
-//! to say **once per turn**.  Threads per process: the event loop, one
-//! acceptor, and per connection one reader (inbound) or one cold dialer +
-//! one cold ack pump (outbound) — no writer thread; see the
+//! into its connection's outbound window, and write every connection that
+//! has something to say **once per turn**.  Every node pair between two
+//! processes shares one connection per direction, so threads per process
+//! follow the peer processes, not the nodes: the event loop, one acceptor,
+//! and per peer process one reader (inbound) and one cold dialer + one
+//! cold ack pump (outbound) — no writer thread; see the
 //! [`link`](crate::link) module docs.
 //!
 //! *Flush discipline.*  Every send originates in a dispatch (the `Driver`
@@ -106,8 +108,9 @@ pub struct NetConfig {
     /// Backoff cap for redials after a connection loss (the backoff starts
     /// at `dial_retry` and doubles with jitter up to this cap).
     redial_max: Duration,
-    /// Maximum unacknowledged frames a link holds for replay across a
-    /// reconnect; overflow fails the link loudly instead of losing frames.
+    /// Maximum unacknowledged frames a connection holds for replay across
+    /// a reconnect, per node pair it carries; overflow fails the connection
+    /// loudly instead of losing frames.
     resend_window: usize,
     /// Heartbeat intervals of silence after which an inbound link is
     /// declared down (surfaced in status reports and the journal).
@@ -192,8 +195,10 @@ impl NetConfig {
         self
     }
 
-    /// Bounds the per-link resend window (unacknowledged frames held for
-    /// replay across reconnects).  Peers acknowledge every 32 frames, so
+    /// Bounds the resend window per node pair: a connection holds up to
+    /// this many unacknowledged frames for replay across reconnects for
+    /// every pair it carries, so a pair never fails sooner than on a
+    /// connection of its own.  Peers acknowledge every 32 frames, so
     /// [`TcpDriver::new`] rejects a window under 128.
     pub fn resend_window(mut self, frames: usize) -> Self {
         self.resend_window = frames;
@@ -261,12 +266,17 @@ pub struct TcpDriver {
     /// Send-side clamp for local-to-local deliveries.
     clamp_local: FifoClamp<(NodeId, NodeId)>,
     pending: HashMap<usize, PendingQueue>,
-    /// Outbound links, `(local node, peer node)` → the loop-owned state.
-    links: HashMap<(usize, usize), Link>,
-    /// The links that took frames since the last
-    /// [`TcpDriver::flush_links`], in the order they first did: links are
+    /// Outbound connections, one per peer process, each the loop-owned
+    /// state of every node pair towards that process.
+    links: Vec<Link>,
+    /// Peer process endpoint → its connection in `links`.
+    link_at: HashMap<Endpoint, usize>,
+    /// Node pair `(local node, peer node)` → the connection carrying it.
+    pairs: HashMap<(usize, usize), usize>,
+    /// The connections that took frames since the last
+    /// [`TcpDriver::flush_links`], in the order they first did: they are
     /// written in send order, as the simulator delivers.
-    dirty: Vec<(usize, usize)>,
+    dirty: Vec<usize>,
     /// Fencing/dedup bookkeeping shared with the reader threads, and the
     /// ack counters of the helper threads.
     registry: Arc<LinkRegistry>,
@@ -395,7 +405,9 @@ impl TcpDriver {
             clamp_in: FifoClamp::new(),
             clamp_local: FifoClamp::new(),
             pending: HashMap::new(),
-            links: HashMap::new(),
+            links: Vec::new(),
+            link_at: HashMap::new(),
+            pairs: HashMap::new(),
             dirty: Vec::new(),
             registry,
             last_seen: HashMap::new(),
@@ -443,46 +455,51 @@ impl TcpDriver {
             .or_else(|| self.learned.get(&peer).cloned())
     }
 
-    /// Returns the outbound link `(local, peer)`, creating it (and its
-    /// dialer thread) on first use.  `None` while the peer's endpoint is
-    /// still unknown (a client that has not dialled in yet).
-    fn link_for(&mut self, local: usize, peer: NodeId) -> Option<&mut Link> {
-        let key = (local, peer.index());
-        if !self.links.contains_key(&key) {
-            let target = self.endpoint_of(peer.index())?;
-            let local = NodeId::new(local);
-            let delay = self
-                .delays
-                .get(&(local, peer))
-                .copied()
-                .unwrap_or(DelayModel::Constant(0));
-            let hello = Frame::Hello {
-                from: local,
-                to: peer,
-                epoch: self.cfg.epoch,
-                listen: self.advertised.clone(),
-                delay,
-            };
-            let link = Link::spawn(
-                LinkConfig {
-                    target,
-                    local,
-                    peer,
-                    hello,
-                    write_timeout: self.cfg.heartbeat * self.cfg.missed_heartbeats,
-                    dial_retry: self.cfg.dial_retry,
-                    redial_max: self.cfg.redial_max,
-                    resend_window: self.cfg.resend_window,
-                    epoch: self.cfg.epoch,
-                    fault: self.cfg.fault,
-                },
-                self.incoming_tx.clone(),
-                self.shutdown.clone(),
-                self.registry.clone(),
-            );
-            self.links.insert(key, link);
+    /// Returns the connection that carries the node pair `(local, peer)`:
+    /// the one to the peer's process, created (with its dialer thread) on
+    /// first use.  A pair new to it is added there, its `Hello` written
+    /// ahead of the pair's first frame.  `None` while the peer's endpoint
+    /// is still unknown (a client that has not dialled in yet).
+    fn link_for(&mut self, local: usize, peer: NodeId) -> Option<usize> {
+        if let Some(&index) = self.pairs.get(&(local, peer.index())) {
+            return Some(index);
         }
-        self.links.get_mut(&key)
+        let target = self.endpoint_of(peer.index())?;
+        let index = match self.link_at.get(&target) {
+            Some(&index) => index,
+            None => {
+                let index = self.links.len();
+                self.links.push(Link::spawn(
+                    LinkConfig {
+                        id: index,
+                        target: target.clone(),
+                        listen: self.advertised.clone(),
+                        write_timeout: self.cfg.heartbeat * self.cfg.missed_heartbeats,
+                        dial_retry: self.cfg.dial_retry,
+                        redial_max: self.cfg.redial_max,
+                        resend_window: self.cfg.resend_window,
+                        epoch: self.cfg.epoch,
+                        fault: self.cfg.fault,
+                    },
+                    self.incoming_tx.clone(),
+                    self.shutdown.clone(),
+                    self.registry.clone(),
+                ));
+                self.link_at.insert(target, index);
+                index
+            }
+        };
+        let from = NodeId::new(local);
+        let delay = self
+            .delays
+            .get(&(from, peer))
+            .copied()
+            .unwrap_or(DelayModel::Constant(0));
+        if self.links[index].add_pair(from, peer, delay) {
+            self.dirty.push(index);
+        }
+        self.pairs.insert((local, peer.index()), index);
+        Some(index)
     }
 
     fn handle_inbound(&mut self, inbound: Inbound) {
@@ -533,26 +550,27 @@ impl TcpDriver {
                     .push(due, Incoming::Message { from, message });
             }
             Inbound::Heartbeat { from, epoch } => {
-                self.mark_alive(from.index());
-                let known = self.peer_epochs.entry(from.index()).or_insert(epoch);
-                *known = (*known).max(epoch);
+                for peer in &from {
+                    self.mark_alive(peer.index());
+                    let known = self.peer_epochs.entry(peer.index()).or_insert(epoch);
+                    *known = (*known).max(epoch);
+                }
                 self.metrics.incr("net.heartbeats_in");
                 if self.metrics.journal_enabled() {
                     let now = self.clock.now();
                     self.metrics.record_event(
                         now,
                         "link.heartbeat",
-                        format!("peer={from} epoch={epoch}"),
+                        format!("peer={} epoch={epoch}", node_list(&from)),
                     );
                 }
             }
             Inbound::Conn {
-                local,
-                peer,
+                link: index,
                 generation,
                 signal,
             } => {
-                let Some(link) = self.links.get_mut(&(local.index(), peer.index())) else {
+                let Some(link) = self.links.get_mut(index) else {
                     return;
                 };
                 let event = link.on_signal(generation, signal, &mut self.metrics);
@@ -560,7 +578,7 @@ impl TcpDriver {
                 // no-op.
                 let replay = link.flush(&mut self.metrics);
                 for event in [event, replay].into_iter().flatten() {
-                    self.note_link(peer, event);
+                    self.note_link(index, event);
                 }
             }
             Inbound::Stale {
@@ -584,6 +602,7 @@ impl TcpDriver {
                 let _ = (from, seq);
                 self.metrics.incr("net.frames_duplicate");
             }
+            Inbound::Unintroduced => self.metrics.incr("net.frames_unintroduced"),
             Inbound::AdminDrop { peer } => {
                 self.metrics.incr("net.admin_drops");
                 if self.metrics.journal_enabled() {
@@ -591,15 +610,16 @@ impl TcpDriver {
                     self.metrics
                         .record_event(now, "link.admin_drop", format!("peer={peer}"));
                 }
-                // The links redial and replay as if the socket had broken.
-                let dropped: Vec<LinkEvent> = self
-                    .links
-                    .iter_mut()
-                    .filter(|(key, _)| key.1 == peer.index())
-                    .filter_map(|(_, link)| link.lose("admin-injected drop".into(), false))
-                    .collect();
-                for event in dropped {
-                    self.note_link(peer, event);
+                // The connection redials and replays as if the socket had
+                // broken.
+                for index in 0..self.links.len() {
+                    let link = &mut self.links[index];
+                    if !link.peers().contains(&peer) {
+                        continue;
+                    }
+                    if let Some(event) = link.lose("admin-injected drop".into(), false) {
+                        self.note_link(index, event);
+                    }
                 }
             }
             Inbound::Status {
@@ -634,15 +654,18 @@ impl TcpDriver {
         }
     }
 
-    /// Books one state transition of the outbound link towards `peer`:
-    /// liveness bookkeeping, `net.link_*` counter, journal.
-    fn note_link(&mut self, peer: NodeId, event: LinkEvent) {
-        let p = peer.index();
+    /// Books one state transition of outbound connection `index` once —
+    /// `net.link_*` counter, journal — and its liveness bookkeeping for
+    /// every peer node it carries frames to.
+    fn note_link(&mut self, index: usize, event: LinkEvent) {
+        let peers = self.links[index].peers();
         let (counter, kind, detail) = match event {
             LinkEvent::Up { resent } => {
-                self.link_up.insert(p, true);
-                if !self.stale_links.contains(&p) {
-                    self.down_since.remove(&p);
+                for p in peers.iter().map(|peer| peer.index()) {
+                    self.link_up.insert(p, true);
+                    if !self.stale_links.contains(&p) {
+                        self.down_since.remove(&p);
+                    }
                 }
                 if resent > 0 {
                     self.metrics.add("net.frames_resent", resent as u64);
@@ -650,7 +673,9 @@ impl TcpDriver {
                 ("net.link_up", "link.up", format!("resent={resent}"))
             }
             LinkEvent::Redial { attempt } => {
-                self.redials.insert(p, attempt);
+                for peer in &peers {
+                    self.redials.insert(peer.index(), attempt);
+                }
                 (
                     "net.link_redial",
                     "link.redial",
@@ -670,14 +695,17 @@ impl TcpDriver {
             }
         };
         if matches!(kind, "link.drop" | "link.fenced" | "link.failed") {
-            self.link_up.insert(p, false);
-            self.down_since.entry(p).or_insert_with(Instant::now);
+            for p in peers.iter().map(|peer| peer.index()) {
+                self.link_up.insert(p, false);
+                self.down_since.entry(p).or_insert_with(Instant::now);
+            }
         }
         self.metrics.incr(counter);
         if self.metrics.journal_enabled() {
             let now = self.clock.now();
+            let peers = node_list(&peers);
             self.metrics
-                .record_event(now, kind, format!("peer={peer} {detail}"));
+                .record_event(now, kind, format!("peer={peers} {detail}"));
         }
     }
 
@@ -803,13 +831,10 @@ impl TcpDriver {
         }
         self.next_liveness = now + self.cfg.heartbeat;
         let idle = self.cfg.heartbeat / 2;
-        let mut lost = Vec::new();
-        for (key, link) in &mut self.links {
-            let event = link.keep_alive(now, idle, &mut self.metrics);
-            lost.extend(event.map(|event| (NodeId::new(key.1), event)));
-        }
-        for (peer, event) in lost {
-            self.note_link(peer, event);
+        for index in 0..self.links.len() {
+            if let Some(event) = self.links[index].keep_alive(now, idle, &mut self.metrics) {
+                self.note_link(index, event);
+            }
         }
         let limit = self.cfg.heartbeat * self.cfg.missed_heartbeats;
         let newly_stale: Vec<usize> = self
@@ -887,17 +912,14 @@ impl TcpDriver {
         self.check_liveness();
     }
 
-    /// Writes every link that took frames since the last flush — one
-    /// `write` per link, however many frames the turn produced.
+    /// Writes every connection that took frames since the last flush — one
+    /// `write` per connection, however many frames and node pairs the turn
+    /// produced.
     fn flush_links(&mut self) {
         let mut dirty = std::mem::take(&mut self.dirty);
-        for key in dirty.drain(..) {
-            let lost = self
-                .links
-                .get_mut(&key)
-                .and_then(|link| link.flush(&mut self.metrics));
-            if let Some(event) = lost {
-                self.note_link(NodeId::new(key.1), event);
+        for index in dirty.drain(..) {
+            if let Some(event) = self.links[index].flush(&mut self.metrics) {
+                self.note_link(index, event);
             }
         }
         self.dirty = dirty;
@@ -931,15 +953,16 @@ impl TcpDriver {
     }
 
     /// Routes one harvested send: straight into a local queue, or sequenced
-    /// and encoded into the peer link's outbound window (written at the
-    /// next flush).
+    /// and encoded into the outbound window of the connection to the
+    /// peer's process (written at the next flush).  A send to a node this
+    /// process has no link to is counted and dropped.
     fn send_from(&mut self, from: usize, to: NodeId, at: SimTime, message: rebeca_broker::Message) {
         let from_id = NodeId::new(from);
-        let delay = self
-            .delays
-            .get(&(from_id, to))
-            .unwrap_or_else(|| panic!("no link {from_id} -> {to}"))
-            .sample(&mut self.rng);
+        let Some(delay) = self.delays.get(&(from_id, to)) else {
+            self.metrics.incr("net.frames_unroutable");
+            return;
+        };
+        let delay = delay.sample(&mut self.rng);
         self.metrics.incr("network.messages");
         if self.is_local(to.index()) {
             let due = self.clamp_local.clamp((from_id, to), at + delay);
@@ -955,7 +978,7 @@ impl TcpDriver {
                 );
         } else {
             self.record_link_span("link.tx", from as u64, from_id, to, &message);
-            let Some(link) = self.link_for(from, to) else {
+            let Some(index) = self.link_for(from, to) else {
                 self.metrics.incr("net.frames_unroutable");
                 return;
             };
@@ -963,17 +986,17 @@ impl TcpDriver {
             // or failed (by this very frame, in which case it says so).
             // Transient disconnects never reject sends — the frame waits in
             // the window and leaves with the replay.
-            match link.enqueue(delay.as_micros(), message) {
+            match self.links[index].enqueue(from_id, to, delay.as_micros(), message) {
                 Ok(first_unwritten) => {
                     if first_unwritten {
-                        self.dirty.push((from, to.index()));
+                        self.dirty.push(index);
                     }
                     self.metrics.incr("net.frames_out");
                 }
                 Err(failed) => {
                     self.metrics.incr("net.frames_dropped");
                     if let Some(event) = failed {
-                        self.note_link(to, event);
+                        self.note_link(index, event);
                     }
                 }
             }
@@ -1065,6 +1088,12 @@ impl TcpDriver {
         self.leave_loop();
         processed
     }
+}
+
+/// `n1,n2`: how the journal names the peer nodes one connection serves.
+fn node_list(nodes: &[NodeId]) -> String {
+    let names: Vec<String> = nodes.iter().map(NodeId::to_string).collect();
+    names.join(",")
 }
 
 impl Driver for TcpDriver {

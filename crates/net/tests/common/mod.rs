@@ -171,9 +171,24 @@ pub fn retention_oracle_sim_log() -> ConsumerLog {
 /// Runs the driver until the consumer's log holds `want` deliveries or the
 /// wall/virtual deadline passes.  Returns whether the target was reached.
 pub fn run_until_deliveries(sys: &mut MobilitySystem, want: usize, budget_ms: u64) -> bool {
+    run_until_all_deliveries(sys, &[CONSUMER], want, budget_ms)
+}
+
+/// Runs the driver until every log of `clients` holds `want` deliveries or
+/// the wall/virtual deadline passes.  Returns whether the target was
+/// reached.
+pub fn run_until_all_deliveries(
+    sys: &mut MobilitySystem,
+    clients: &[ClientId],
+    want: usize,
+    budget_ms: u64,
+) -> bool {
     let deadline = sys.now() + SimDuration::from_millis(budget_ms);
     loop {
-        if sys.client_log(CONSUMER).unwrap().len() >= want {
+        if clients
+            .iter()
+            .all(|&c| sys.client_log(c).unwrap().len() >= want)
+        {
             return true;
         }
         let now = sys.now();
@@ -228,6 +243,44 @@ pub fn reference_sim_log() -> ConsumerLog {
     let log = drive_scenario(&mut sys, 60_000);
     assert!(log.is_clean(), "reference run must be clean");
     log
+}
+
+/// Stationary consumers of the watched scenario, one per broker, each
+/// subscribed to every vacancy.
+pub const WATCHERS: [(ClientId, usize); 3] = [
+    (ClientId::new(3), 0),
+    (ClientId::new(4), 1),
+    (ClientId::new(5), 2),
+];
+
+/// [`drive_scenario`] with the [`WATCHERS`] attached first, so several
+/// consumers share every connection between the client process and the
+/// brokers.  Returns the roaming consumer's log, then each watcher's.
+pub fn drive_watched_scenario(sys: &mut MobilitySystem, budget_ms: u64) -> Vec<ConsumerLog> {
+    for (watcher, broker) in WATCHERS {
+        let session = sys.connect(watcher, broker).expect("watcher connects");
+        session.subscribe(sys, parking_filter()).expect("subscribe");
+    }
+    let mut logs = vec![drive_scenario(sys, budget_ms)];
+    let watchers = WATCHERS.map(|(watcher, _)| watcher);
+    assert!(
+        run_until_all_deliveries(sys, &watchers, PUBLICATIONS as usize, budget_ms),
+        "watchers not served in time"
+    );
+    logs.extend(watchers.map(|w| sys.client_log(w).unwrap().clone()));
+    logs
+}
+
+/// The watched scenario on the deterministic simulator: the oracle of
+/// every consumer's log.
+pub fn reference_watched_sim_logs() -> Vec<ConsumerLog> {
+    let mut sys = builder(1).build().expect("sim build");
+    let logs = drive_watched_scenario(&mut sys, 60_000);
+    assert!(
+        logs.iter().all(ConsumerLog::is_clean),
+        "oracle must be clean"
+    );
+    logs
 }
 
 /// Asserts the paper's QoS triple on a finished log: completeness, no

@@ -22,13 +22,17 @@ use common::{
 };
 
 /// Builds the broker-side system: one driver hosting all three brokers of
-/// the line, listening on an ephemeral loopback port.  Returns the system
-/// and the endpoint client processes dial (the same for every broker —
-/// connections are told apart by their handshakes).
-fn broker_system() -> (MobilitySystem, Endpoint) {
+/// the line, listening on an ephemeral loopback port, with an optional
+/// fault plan on its connections.  Returns the system and the endpoint
+/// client processes dial (the same for every broker — node pairs are told
+/// apart by their handshakes).
+fn broker_system(fault: Option<FaultPlan>) -> (MobilitySystem, Endpoint) {
     let placeholder = vec![Endpoint::new("127.0.0.1", 0); 3];
-    let driver = TcpDriver::new(NetConfig::new(placeholder).host_all().seed(11))
-        .expect("bind broker listener");
+    let mut net = NetConfig::new(placeholder).host_all().seed(11);
+    if let Some(plan) = fault {
+        net = net.fault(plan);
+    }
+    let driver = TcpDriver::new(net).expect("bind broker listener");
     let endpoint = driver.listen_endpoint().clone();
     let sys = builder(1)
         .build_with(Box::new(driver))
@@ -75,7 +79,7 @@ fn lone_broker(seed: u64) -> (TcpDriver, u16) {
 /// real TCP, asserted exactly-once and byte-identical to the simulator.
 #[test]
 fn loopback_cluster_matches_the_simulator_byte_for_byte() {
-    let (broker_sys, endpoint) = broker_system();
+    let (broker_sys, endpoint) = broker_system(None);
     let stop = Arc::new(AtomicBool::new(false));
     let pump = pump_in_background(broker_sys, stop.clone());
 
@@ -403,13 +407,15 @@ fn handshake_and_heartbeats_flow() {
     assert!(broker.metrics().counter("net.heartbeats_in") >= 2);
 }
 
-/// Self-healing under injected faults: the client's writer drops its socket
-/// after every third sequenced frame, redials, and replays its unacked
-/// window — the scenario still delivers exactly-once, byte-identical to
-/// the simulator, because receivers deduplicate by sequence number.
+/// Self-healing under injected faults: each side drops its one connection
+/// to the other process after every few sequenced frames, redials, and
+/// replays its unacked window.  Four consumers sit behind those
+/// connections — one roaming, three stationary — and every one still
+/// receives exactly-once, byte-identical to the simulator, because
+/// receivers deduplicate by sequence number per node pair.
 #[test]
 fn forced_drops_resend_without_loss_or_duplication() {
-    let (broker_sys, endpoint) = broker_system();
+    let (broker_sys, endpoint) = broker_system(Some(FaultPlan::drop_after(5).recurring()));
     let stop = Arc::new(AtomicBool::new(false));
     let pump = pump_in_background(broker_sys, stop.clone());
 
@@ -420,33 +426,52 @@ fn forced_drops_resend_without_loss_or_duplication() {
         .build_tcp(client_net)
         .expect("client system builds");
 
-    let tcp_log = drive_scenario(&mut client_sys, 60_000);
+    let tcp_logs = common::drive_watched_scenario(&mut client_sys, 60_000);
+    // Let a drop fired by the last flush on either side heal before the
+    // counts are read.
+    let now = client_sys.now();
+    client_sys.run_until(now + SimDuration::from_millis(200));
     stop.store(true, Ordering::SeqCst);
     let broker_sys = pump.join().expect("broker pump thread");
 
-    assert_exactly_once(&tcp_log);
+    for log in &tcp_logs {
+        assert_exactly_once(log);
+    }
     assert_eq!(
-        tcp_log,
-        reference_sim_log(),
+        tcp_logs,
+        common::reference_watched_sim_logs(),
         "forced reconnects must be invisible to the protocol"
     );
 
-    // The fault actually fired and the resend machinery actually worked.
+    // The faults actually fired and the resend machinery actually worked,
+    // on both sides.
     let m = client_sys.metrics();
-    assert!(m.counter("net.link_down") >= 1, "no injected drop fired");
-    assert!(
-        m.counter("net.frames_resent") >= 1,
-        "reconnect replayed nothing"
-    );
-    // Every drop was followed by a successful re-establishment.
-    assert!(m.counter("net.link_up") > m.counter("net.link_down"));
-    // The broker side silently absorbed any replay overlap.
-    let dups = broker_sys.metrics().counter("net.frames_duplicate");
-    let resent = m.counter("net.frames_resent");
-    assert!(
-        dups <= resent,
-        "duplicates ({dups}) cannot exceed resends ({resent})"
-    );
+    let b = broker_sys.metrics();
+    for (side, m) in [("client", m), ("broker", b)] {
+        assert!(m.counter("net.link_down") >= 1, "{side}: no drop fired");
+        assert!(
+            m.counter("net.frames_resent") >= 1,
+            "{side}: reconnect replayed nothing"
+        );
+        // Every drop was followed by a successful re-establishment.
+        assert!(m.counter("net.link_up") > m.counter("net.link_down"));
+    }
+    // Each side silently absorbed the other's replay overlap.
+    for (dups, resent) in [
+        (
+            b.counter("net.frames_duplicate"),
+            m.counter("net.frames_resent"),
+        ),
+        (
+            m.counter("net.frames_duplicate"),
+            b.counter("net.frames_resent"),
+        ),
+    ] {
+        assert!(
+            dups <= resent,
+            "duplicates ({dups}) cannot exceed resends ({resent})"
+        );
+    }
 }
 
 /// A raw-socket sender that repeats a sequenced frame sees it delivered
@@ -529,9 +554,76 @@ fn duplicate_frames_are_suppressed_and_acknowledged_cumulatively() {
     assert_eq!(broker.metrics().counter("net.frames_duplicate"), 1);
 }
 
+/// Regression: a `Message` from a node no `Hello` introduced used to crash
+/// the receiving process (`no link n0 -> n1`: it had no way to answer).
+/// The reader drops and counts such frames, and the connection stays
+/// usable: once node 1 introduces itself, its frames are heard.
+#[test]
+fn frames_from_an_unintroduced_node_are_dropped_and_counted() {
+    use rebeca_broker::Message;
+    use rebeca_core::Driver;
+    use rebeca_net::wire::Frame;
+    use std::io::Write;
+
+    let (mut broker, port) = lone_broker(53);
+    let mut socket = std::net::TcpStream::connect(("127.0.0.1", port)).expect("dial broker");
+    let frame = |from: usize, seq: u64, message: Message| {
+        Frame::Message {
+            from: rebeca_sim::NodeId::new(from),
+            to: rebeca_sim::NodeId::new(0),
+            delay_micros: 0,
+            seq,
+            message,
+        }
+        .encode_framed()
+    };
+    let pump_until = |broker: &mut TcpDriver, counter: &str, want: u64| {
+        for _ in 0..100 {
+            if broker.metrics().counter(counter) >= want {
+                break;
+            }
+            let now = broker.now();
+            broker.run_until(now + SimDuration::from_millis(10));
+        }
+    };
+
+    socket
+        .write_all(&frame(1, 1, Message::Attach { client: CONSUMER }))
+        .unwrap();
+    let subscribe = Message::Subscribe {
+        subscriber: CONSUMER,
+        filter: common::parking_filter(),
+    };
+    socket.write_all(&frame(1, 2, subscribe)).unwrap();
+    let publish = Message::Publish {
+        publisher: PRODUCER,
+        notification: common::vacancy(1),
+    };
+    socket.write_all(&frame(2, 3, publish)).unwrap();
+    pump_until(&mut broker, "net.frames_unintroduced", 3);
+    assert_eq!(broker.metrics().counter("net.frames_unintroduced"), 3);
+    assert_eq!(broker.metrics().counter("net.frames_in"), 0);
+
+    let hello = Frame::Hello {
+        from: rebeca_sim::NodeId::new(1),
+        to: rebeca_sim::NodeId::new(0),
+        epoch: 0,
+        listen: Endpoint::new("127.0.0.1", 1), // never dialled back in this test
+        delay: DelayModel::Constant(0),
+    };
+    socket.write_all(&hello.encode_framed()).unwrap();
+    socket
+        .write_all(&frame(1, 4, Message::Attach { client: CONSUMER }))
+        .unwrap();
+    pump_until(&mut broker, "net.frames_in", 1);
+    assert_eq!(broker.metrics().counter("net.frames_in"), 1);
+    assert_eq!(broker.metrics().counter("net.frames_unintroduced"), 3);
+}
+
 /// Epoch fencing: a connection introducing itself with a stale restart
 /// epoch is rejected with `Fenced`, and an already-accepted connection is
-/// torn down as soon as a newer incarnation of the same peer appears.
+/// torn down as soon as a newer incarnation of any node it introduced
+/// appears — not only the last one.
 #[test]
 fn stale_epochs_are_fenced_and_zombie_connections_torn_down() {
     use rebeca_net::wire::Frame;
@@ -539,13 +631,14 @@ fn stale_epochs_are_fenced_and_zombie_connections_torn_down() {
 
     let (mut broker, port) = lone_broker(61);
 
-    let hello = |epoch: u64| Frame::Hello {
-        from: rebeca_sim::NodeId::new(1),
+    let hello_from = |from: usize, epoch: u64| Frame::Hello {
+        from: rebeca_sim::NodeId::new(from),
         to: rebeca_sim::NodeId::new(0),
         epoch,
         listen: Endpoint::new("127.0.0.1", 1),
         delay: DelayModel::Constant(0),
     };
+    let hello = |epoch: u64| hello_from(1, epoch);
     let read_fenced = |socket: &mut std::net::TcpStream| -> Option<u64> {
         let mut buf = Vec::new();
         let mut chunk = [0u8; 1024];
@@ -567,11 +660,13 @@ fn stale_epochs_are_fenced_and_zombie_connections_torn_down() {
         broker.run_until(now + SimDuration::from_millis(20));
     };
 
-    // Incarnation with epoch 5 introduces itself and is accepted.
+    // Incarnation with epoch 5 introduces node 1, then node 2, on one
+    // connection, and is accepted.
     let mut live = std::net::TcpStream::connect(("127.0.0.1", port)).expect("dial");
     live.set_read_timeout(Some(Duration::from_millis(50)))
         .unwrap();
     live.write_all(&hello(5).encode_framed()).unwrap();
+    live.write_all(&hello_from(2, 5).encode_framed()).unwrap();
     pump(&mut broker);
 
     // A zombie from before the restart (epoch 3) is rejected outright.
@@ -586,7 +681,8 @@ fn stale_epochs_are_fenced_and_zombie_connections_torn_down() {
         "stale hello answered with the expected epoch"
     );
 
-    // A successor incarnation (epoch 6) supersedes the live connection…
+    // A successor incarnation of node 1 (epoch 6) supersedes the live
+    // connection, although node 2 was introduced on it last…
     let mut successor = std::net::TcpStream::connect(("127.0.0.1", port)).expect("dial");
     successor
         .set_read_timeout(Some(Duration::from_millis(50)))
@@ -617,6 +713,56 @@ fn stale_epochs_are_fenced_and_zombie_connections_torn_down() {
     assert!(
         journal.iter().any(|d| d.contains("stale_epoch=5")),
         "zombie teardown journaled, got {journal:?}"
+    );
+}
+
+/// Every node pair between two processes shares one connection per
+/// direction: eight consumers and a producer hosted by one client driver,
+/// attached across the three brokers of one broker process, bring up one
+/// connection each way — and every pair is still introduced by a `Hello`
+/// of its own.
+#[test]
+fn one_connection_per_process_pair_carries_every_node_pair() {
+    let (broker_sys, endpoint) = broker_system(None);
+    let stop = Arc::new(AtomicBool::new(false));
+    let pump = pump_in_background(broker_sys, stop.clone());
+
+    let mut client_sys = builder(1)
+        .build_tcp(NetConfig::new(vec![endpoint; 3]).seed(91))
+        .expect("client system builds");
+    let consumers: Vec<_> = (10..18).map(rebeca_broker::ClientId::new).collect();
+    for (i, &consumer) in consumers.iter().enumerate() {
+        let session = client_sys.connect(consumer, i % 3).expect("connects");
+        session
+            .subscribe(&mut client_sys, common::parking_filter())
+            .expect("subscribe");
+    }
+    let producer = client_sys.connect(PRODUCER, 2).expect("producer connects");
+    let now = client_sys.now();
+    client_sys.run_until(now + SimDuration::from_millis(300));
+    for i in 1..=5 {
+        producer
+            .publish(&mut client_sys, common::vacancy(i))
+            .expect("publish");
+    }
+    assert!(
+        common::run_until_all_deliveries(&mut client_sys, &consumers, 5, 30_000),
+        "deliveries stalled"
+    );
+    stop.store(true, Ordering::SeqCst);
+    let broker_sys = pump.join().expect("broker pump thread");
+
+    for &consumer in &consumers {
+        let log = client_sys.client_log(consumer).expect("consumer log");
+        assert!(log.is_clean(), "violations: {:?}", log.violations());
+        assert_eq!(log.distinct_publisher_seqs(PRODUCER), vec![1, 2, 3, 4, 5]);
+    }
+    assert_eq!(client_sys.metrics().counter("net.link_up"), 1, "client");
+    assert_eq!(broker_sys.metrics().counter("net.link_up"), 1, "broker");
+    assert_eq!(
+        broker_sys.metrics().counter("net.hello_in"),
+        9,
+        "one Hello per client node pair"
     );
 }
 
