@@ -257,8 +257,9 @@ pub struct MobileBroker {
     /// WAL checkpoint count at the last observation.
     wal_checkpoints_seen: u64,
     /// Set by [`MobileBroker::recover`]; the first handled event journals
-    /// it as a `wal.recovered` event (a restarted node has no live metrics
-    /// context at construction time).
+    /// it as a `wal.recovered` event, plus `retain.reset` when retention is
+    /// configured (a restarted node has no live metrics context at
+    /// construction time).
     recovery_note: Option<String>,
     /// Retained publications of this broker's local publishers
     /// (`None` when [`BrokerConfig::retention`] is unset).
@@ -355,7 +356,8 @@ impl MobileBroker {
         let wal_checkpoints_seen = machine.log().checkpoints_total();
         // Retention is in-memory per incarnation: a restarted broker comes
         // back with an empty store (the WAL covers counterpart streams, not
-        // retained history — a documented scope bound).
+        // retained history — a documented scope bound).  `note_wal` reports
+        // the reset on the first handled event.
         let retention = config.retention.clone().map(RetentionStore::new);
         core.set_record_published(retention.is_some());
         core.set_trace_sampling(config.trace_sample_per_64k);
@@ -596,7 +598,8 @@ impl MobileBroker {
     }
 
     /// Diffs the WAL's lifetime counters against the last observation and
-    /// journals `wal.append` / `wal.checkpoint` / `wal.recovered` events.
+    /// journals `wal.append` / `wal.checkpoint` / `wal.recovered` (and
+    /// `retain.reset`) events.
     /// Called once per handled event: the steady-state cost is two integer
     /// compares, so the notification hot path stays flat.
     fn note_wal(&mut self, ctx: &mut Context<'_, Message>) {
@@ -604,6 +607,15 @@ impl MobileBroker {
             ctx.metrics().incr("wal.recoveries");
             let now = ctx.now();
             ctx.metrics().record_event(now, "wal.recovered", note);
+            if self.retention.is_some() {
+                // The retained history did not survive the restart; say so
+                // instead of letting `subscribe_since` return a silent gap.
+                ctx.metrics().incr("retain.reset_on_recovery");
+                if ctx.metrics().journal_enabled() {
+                    let detail = format!("broker={}", ctx.self_id());
+                    ctx.metrics().record_event(now, "retain.reset", detail);
+                }
+            }
         }
         let appends = self.machine.log().appends_total();
         if appends != self.wal_appends_seen {
@@ -797,20 +809,32 @@ impl MobileBroker {
 
     /// Runs a static-broker handler and applies the mobility
     /// post-processing (holding interception and counterpart absorption).
+    ///
+    /// A message the static broker does not handle is client-bound
+    /// (`Deliver`, `DeliverBatch`): a peer sent it to the wrong node.  It
+    /// is dropped and counted under `broker.rx_unexpected`, never trusted
+    /// to be impossible — over TCP any introduced peer can send one.
     fn run_core(
         &mut self,
         from: NodeId,
         message: Message,
-        now_micros: u64,
+        ctx: &mut Context<'_, Message>,
     ) -> Vec<(NodeId, Message)> {
         let out = match self.core.handle_message(from, message) {
             Ok(out) => out,
-            Err(unhandled) => {
-                unreachable!("static broker rejected a non-mobility message: {unhandled:?}")
+            Err(unexpected) => {
+                ctx.metrics().incr("broker.rx_unexpected");
+                if ctx.metrics().journal_enabled() {
+                    let now = ctx.now();
+                    let detail = format!("from={from} kind={}", unexpected.kind_name());
+                    ctx.metrics().record_event(now, "broker.unexpected", detail);
+                }
+                return Vec::new();
             }
         };
         let out = self.machine.intercept_holding(out);
-        self.machine.absorb_parked(&mut self.core, now_micros);
+        self.machine
+            .absorb_parked(&mut self.core, ctx.now().as_micros());
         out
     }
 
@@ -1036,14 +1060,13 @@ impl MobileBroker {
         if self.core.client_by_node(from).is_none() && !self.core.broker_links().contains(&from) {
             self.core.handle_attach(client, from);
         }
-        let now = ctx.now().as_micros();
         let mut out = self.run_core(
             from,
             Message::Subscribe {
                 subscriber: client,
                 filter: filter.clone(),
             },
-            now,
+            ctx,
         );
 
         let entries = self.retained_slice(since_micros, &filter);
@@ -1537,8 +1560,8 @@ impl Node for MobileBroker {
                         // The static broker marks the client disconnected,
                         // then the machine opens durable counterparts for
                         // what is left behind.
+                        out = self.run_core(from, Message::Detach { client }, ctx);
                         let now = ctx.now().as_micros();
-                        out = self.run_core(from, Message::Detach { client }, now);
                         self.machine.on_detach(&self.core, client, now);
                         self.note_control("relocation.detach", client, ctx);
                     }
@@ -1600,8 +1623,7 @@ impl Node for MobileBroker {
                         out = self.handle_location_update(sub_id, location, hop, from, ctx);
                     }
                     other => {
-                        let now = ctx.now().as_micros();
-                        out = self.run_core(from, other, now);
+                        out = self.run_core(from, other, ctx);
                     }
                 }
             }

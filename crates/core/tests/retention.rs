@@ -333,3 +333,39 @@ fn subscribe_since_without_retention_degrades_to_live_only() {
         "without retention only post-subscription publications arrive"
     );
 }
+
+/// A restart empties the in-memory retention store.  The recovered broker
+/// reports that on the first event it handles — a counter and a journal
+/// event — so a later `subscribe_since` gap is not silent.  A broker
+/// without retention has no history to lose and reports nothing.
+#[test]
+fn recovery_reports_the_retention_reset() {
+    for (config, resets) in [(retention_config(), 1), (BrokerConfig::default(), 0)] {
+        let mut sys = retention_system(config);
+        let consumer = sys.connect(CONSUMER, 0).expect("consumer connects");
+        consumer
+            .subscribe(&mut sys, parking_filter())
+            .expect("subscribe");
+        let producer = sys.connect(PRODUCER, 2).expect("producer connects");
+        sys.run_until(SimTime::from_millis(100));
+        for i in 1..=5u64 {
+            producer.publish(&mut sys, vacancy(i)).expect("publish");
+        }
+        sys.run_until(SimTime::from_millis(500));
+
+        // Restart the producer's broker, then give it an event to handle.
+        sys.crash_and_restart_broker(2).expect("crash/restart");
+        producer.publish(&mut sys, vacancy(6)).expect("publish");
+        sys.run_until(SimTime::from_secs(1));
+
+        let m = sys.metrics();
+        assert_eq!(m.counter("retain.reset_on_recovery"), resets);
+        let journaled = m
+            .journal()
+            .events()
+            .filter(|e| e.kind == "retain.reset")
+            .count();
+        assert_eq!(journaled as u64, resets);
+        assert_eq!(m.counter("wal.recoveries"), 1, "the broker did recover");
+    }
+}

@@ -2,7 +2,7 @@
 //!
 //! Routing tables hold the same handful of constraints thousands of times
 //! (every subscriber to "parking" stores `service = parking`).  The arena
-//! stores each distinct constraint **once per store**, shared across all
+//! stores each distinct constraint **once per index**, shared across all
 //! attributes, and predicates refer to it by a dense `u32` id — so predicate
 //! deduplication hashes a full `Constraint` only once per distinct
 //! constraint, predicate records stay small, and evaluation reads one shared

@@ -7,29 +7,21 @@
 //! at a few thousand subscriptions; content-based matching engines
 //! (Gough/Smith-style counting algorithms, Siena, and the matching cores the
 //! semantic pub/sub literature builds on) answer them with a **predicate
-//! index** instead.  This crate is that index, in two layouts plus the
-//! machinery around them:
+//! index** instead.  This crate is that index plus the filter collection
+//! built on it:
 //!
-//! * [`FilterIndex`] — the sequential attribute-partitioned predicate index
-//!   and counting matcher.  Constraints are interned (one arena per store,
-//!   shared across attributes) and deduplicated into per-attribute
-//!   partitions with inline small-vector posting lists; notifications are
-//!   matched by evaluating each satisfied predicate once and counting hits
-//!   per filter; and the exact covering queries of the §2.2
-//!   covering/merging optimizations run the same counting walk over only
-//!   the predicates whose partition ranges overlap the probe.
-//! * [`ShardedFilterIndex`] — the same engine partitioned across `N` worker
-//!   shards by attribute hash, with per-shard counting walks merging into a
-//!   final per-entry tally.
-//! * [`MatchScratch`] — the external, reusable counting scratchpad.  The
-//!   indexes hold no interior mutability and are `Send + Sync`; give each
-//!   worker thread its own scratchpad (or use the thread-local fallback)
-//!   and match against a shared `&index` from any number of threads.
-//! * **Batch matching** — [`FilterIndex::match_batch`] /
-//!   [`ShardedFilterIndex::match_batch`] match whole notification queues
-//!   with per-predicate lane masks: every posting list is walked once per
-//!   64-notification chunk instead of once per notification, and chunks fan
-//!   out across `std::thread::scope` workers.
+//! * [`FilterIndex`] — the attribute-partitioned predicate index and
+//!   counting matcher.  Constraints are interned (one arena shared across
+//!   attributes) and deduplicated into per-attribute partitions with inline
+//!   small-vector posting lists; notifications are matched by evaluating
+//!   each satisfied predicate once and counting hits per filter; and the
+//!   exact covering queries of the §2.2 covering/merging optimizations run
+//!   the same counting walk over only the predicates whose partition ranges
+//!   overlap the probe.  Counters live in a thread-local scratchpad, so the
+//!   index is `Send + Sync` and any number of threads can match against a
+//!   shared `&FilterIndex`.  [`FilterIndex::match_batch`] matches whole
+//!   notification queues with per-predicate lane masks, walking every
+//!   posting list once per 64-notification chunk.
 //! * [`FilterSet`] — the covering/merging-aware filter collection used by
 //!   routing state, re-homed from `rebeca-filter` and rebuilt on top of the
 //!   index.
@@ -37,8 +29,8 @@
 //! Exactness is a hard requirement: every fast path either proves its answer
 //! by construction or falls back to the exact predicate evaluation of
 //! `rebeca-filter`, and the crate's property tests assert byte-identical
-//! results against the linear-scan oracle (and, for the sharded and batch
-//! paths, against the sequential index at every shard count).
+//! results against the linear-scan oracle, for single notifications and
+//! batches alike.
 //!
 //! # Example
 //!
@@ -62,14 +54,13 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod core;
 mod filterset;
 mod index;
 mod scratch;
-mod sharded;
 mod store;
 
 pub use filterset::{FilterSet, InsertOutcome};
 pub use index::FilterIndex;
-pub use scratch::MatchScratch;
-pub use sharded::{ShardedFilterIndex, DEFAULT_SHARDS};
+
+/// Former name of [`FilterIndex`], kept only for the benchmark harness.
+pub type ShardedFilterIndex<K> = FilterIndex<K>;

@@ -1,4 +1,4 @@
-//! Reusable matching scratchpads.
+//! The thread-local matching scratchpad.
 //!
 //! The counting algorithm needs a per-filter hit counter for every walk.
 //! Allocating (or clearing) one per query would dominate the cost of small
@@ -6,12 +6,9 @@
 //! invalidates every counter in O(1), and a counter is lazily reset the
 //! first time it is touched in a new epoch.
 //!
-//! Earlier revisions hid one scratchpad inside the index behind a
-//! `RefCell`, which made the index `!Sync` and capped every broker at one
-//! core.  The scratchpad is now **external** state: queries either borrow a
-//! caller-provided [`MatchScratch`] (one per worker thread) or fall back to
-//! a thread-local one, and the index itself is immutable during matching —
-//! `Send + Sync` by construction.
+//! The scratchpad is per-thread state outside the index, so the index
+//! itself is immutable during matching — `Send + Sync` by construction (a
+//! `RefCell` inside the index would make it `!Sync`).
 
 use std::cell::RefCell;
 
@@ -22,25 +19,22 @@ pub(crate) const LANE_COUNT: usize = 64;
 ///
 /// One scratchpad serves any number of indexes (it grows to the largest
 /// entry/predicate id it has seen) and any number of sequential queries
-/// (each query begins a new epoch; stale slots reset lazily).  For parallel
-/// matching, give each worker thread its own scratchpad — queries never
-/// mutate the index, so `&FilterIndex`/`&ShardedFilterIndex` can be shared
-/// freely across threads.
-#[derive(Debug, Clone, Default)]
-pub struct MatchScratch {
+/// (each query begins a new epoch; stale slots reset lazily).
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
     /// Per-entry hit counters (single-notification counting walks).
-    pub(crate) stamps: Vec<u64>,
-    pub(crate) counts: Vec<u32>,
-    pub(crate) epoch: u64,
+    stamps: Vec<u64>,
+    counts: Vec<u32>,
+    epoch: u64,
 
     /// Per-predicate satisfaction masks (one bit per batch lane), indexed
-    /// by store-base-offset predicate slot.
+    /// by the predicate's mask slot.
     pub(crate) pred_stamps: Vec<u64>,
     pub(crate) pred_masks: Vec<u64>,
     pub(crate) pred_epoch: u64,
-    /// `(store id, attr id, pred id)` of every predicate satisfied by the
-    /// current batch chunk.
-    pub(crate) touched_preds: Vec<(u32, u32, u32)>,
+    /// `(attr id, pred id)` of every predicate satisfied by the current
+    /// batch chunk.
+    pub(crate) touched_preds: Vec<(u32, u32)>,
 
     /// Per-entry conjunction state for batch matching: the running AND of
     /// the entry's predicate masks and the number of predicates seen.
@@ -51,12 +45,7 @@ pub struct MatchScratch {
     pub(crate) touched_entries: Vec<u32>,
 }
 
-impl MatchScratch {
-    /// Creates an empty scratchpad.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl Scratch {
     /// Starts a new single-notification counting walk over `size` entries.
     pub(crate) fn begin(&mut self, size: usize) {
         if self.stamps.len() < size {
@@ -79,7 +68,7 @@ impl MatchScratch {
     }
 
     /// Starts a new predicate-mask phase over `slots` predicate slots
-    /// (batch matching runs one phase per lane chunk, spanning all stores).
+    /// (batch matching runs one phase per lane chunk).
     pub(crate) fn begin_preds(&mut self, slots: usize) {
         if self.pred_stamps.len() < slots {
             self.pred_stamps.resize(slots, 0);
@@ -90,7 +79,7 @@ impl MatchScratch {
     }
 
     /// Starts a new batch conjunction phase over `size` entries (one phase
-    /// per batch chunk, spanning all stores).
+    /// per batch chunk).
     pub(crate) fn begin_entries_batch(&mut self, size: usize) {
         if self.entry_stamps.len() < size {
             self.entry_stamps.resize(size, 0);
@@ -103,7 +92,7 @@ impl MatchScratch {
 }
 
 thread_local! {
-    static SCRATCH: RefCell<MatchScratch> = RefCell::new(MatchScratch::new());
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 /// Runs `f` with the calling thread's scratchpad.
@@ -111,7 +100,7 @@ thread_local! {
 /// The scratchpad is *taken* for the duration of the call (a re-entrant
 /// query from inside a visitor callback gets a fresh, empty scratchpad
 /// instead of panicking on a double borrow) and put back afterwards.
-pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut MatchScratch) -> R) -> R {
+pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     SCRATCH.with(|cell| {
         let mut scratch = cell.take();
         let result = f(&mut scratch);

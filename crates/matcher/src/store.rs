@@ -1,9 +1,8 @@
 //! The predicate store: deduplicated `(attribute, constraint)` predicates
 //! partitioned by attribute and evaluation class.
 //!
-//! A [`PredStore`] owns the per-attribute partitions of one shard of an
-//! index (a sequential [`FilterIndex`](crate::FilterIndex) is the one-store
-//! special case).  Constraints are interned in a per-store
+//! A [`PredStore`] owns the per-attribute partitions of a
+//! [`FilterIndex`](crate::FilterIndex).  Constraints are interned in one
 //! [`ConstraintArena`] shared across attributes; each distinct
 //! `(attribute, constraint)` pair becomes one predicate with an inline
 //! small-vector posting list of the filters using it.
@@ -188,8 +187,8 @@ impl AttrIndex {
     }
 }
 
-/// One shard's worth of attribute partitions plus the shared constraint
-/// arena and the store-wide mask-slot allocator.
+/// The attribute partitions of one index plus the shared constraint arena
+/// and the mask-slot allocator.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PredStore {
     arena: ConstraintArena,

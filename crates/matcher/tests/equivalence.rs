@@ -6,7 +6,10 @@
 //! with boundary collisions, existence, residual string/`Ne` predicates),
 //! the index must return **byte-identical** results to evaluating
 //! `Filter::matches` / `Filter::covers` over every stored filter — including
-//! after random removal churn.
+//! after random removal churn, and for whole notification queues matched
+//! through the batch kernel.  A compile-time check pins the `Send + Sync`
+//! bounds shared matching relies on, and a smoke test matches against one
+//! shared index from several threads at once.
 
 use proptest::prelude::*;
 use rebeca_filter::{Constraint, Filter, Notification, Value};
@@ -170,6 +173,27 @@ proptest! {
         prop_assert_eq!(got, expected, "covered keys disagree for {}", probe);
     }
 
+    /// `match_batch` over queues spanning several 64-lane chunks returns,
+    /// per notification, exactly the filters the linear scan matches, in
+    /// insertion order.
+    #[test]
+    fn match_batch_equals_linear_scan(
+        (filters, removed) in workload(),
+        ns in prop::collection::vec(notification(), 0..200),
+    ) {
+        let (index, oracle) = build(&filters, &removed);
+        let got: Vec<Vec<usize>> = index
+            .match_batch(&ns)
+            .into_iter()
+            .map(|ks| ks.into_iter().copied().collect())
+            .collect();
+        let expected: Vec<Vec<usize>> = ns
+            .iter()
+            .map(|n| oracle.iter().filter(|(_, f)| f.matches(n)).map(|(i, _)| *i).collect())
+            .collect();
+        prop_assert_eq!(got, expected);
+    }
+
     /// `same_attr_keys` returns exactly the stored filters constraining the
     /// probe's attribute set.
     #[test]
@@ -285,4 +309,76 @@ fn large_seeded_soak_matches_oracle() {
         expected.sort_unstable();
         assert_eq!(got, expected, "soak mismatch on {n}");
     }
+}
+
+/// Shared matching requires the index and the filter set to be shareable
+/// across threads; pin that at compile time so a reintroduced `RefCell` (or
+/// any other interior mutability) fails the build, not a race.
+#[test]
+fn indexes_are_send_and_sync() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<FilterIndex<u64>>();
+    assert_send_sync::<FilterSet>();
+}
+
+/// Four threads match concurrently against one shared `&index` while the
+/// main thread runs batch matching — every result must equal the linear
+/// scan.
+#[test]
+fn concurrent_matching_smoke() {
+    let services = ["parking", "weather", "traffic", "stock"];
+    let mut index: FilterIndex<u32> = FilterIndex::new();
+    let mut filters = Vec::new();
+    for i in 0..2000u32 {
+        let mut f =
+            Filter::new().with("service", Constraint::Eq(services[(i % 4) as usize].into()));
+        if i % 3 == 0 {
+            f = f.with("cost", Constraint::Lt(Value::Int((i % 40) as i64)));
+        }
+        if i % 2 == 0 {
+            f = f.with(
+                "location",
+                Constraint::any_location_of([i % 50, (i + 7) % 50]),
+            );
+        }
+        index.insert(i, &f);
+        filters.push(f);
+    }
+    let notifications: Vec<Notification> = (0..256)
+        .map(|i| {
+            Notification::builder()
+                .attr("service", services[(i % 4) as usize])
+                .attr("cost", (i % 45) as i64)
+                .attr("location", Value::Location(i % 50))
+                .build()
+        })
+        .collect();
+    let expected: Vec<Vec<u32>> = notifications
+        .iter()
+        .map(|n| {
+            (0..2000u32)
+                .filter(|&i| filters[i as usize].matches(n))
+                .collect()
+        })
+        .collect();
+
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let index = &index;
+            let notifications = &notifications;
+            let expected = &expected;
+            scope.spawn(move || {
+                for (i, n) in notifications.iter().enumerate().skip(t).step_by(4) {
+                    let mut got: Vec<u32> = index.matching_keys(n).into_iter().copied().collect();
+                    got.sort_unstable();
+                    assert_eq!(got, expected[i], "thread {t} disagrees on {n}");
+                }
+            });
+        }
+        let batched = index.match_batch(&notifications);
+        for (i, keys) in batched.into_iter().enumerate() {
+            let got: Vec<u32> = keys.into_iter().copied().collect();
+            assert_eq!(got, expected[i], "batch lane {i} disagrees");
+        }
+    });
 }

@@ -10,7 +10,7 @@
 //! subscribe with byte-identical filters (every subscriber of one stock
 //! ticker, one parking lot, one chat group).  The table therefore clusters
 //! identical filters into **subgroups**: the predicate index
-//! ([`rebeca_matcher::ShardedFilterIndex`]) holds **one key per distinct
+//! ([`rebeca_matcher::FilterIndex`]) holds **one key per distinct
 //! filter**, while a subgroup record keeps per-destination reference counts
 //! and the member entry ids underneath.  Matching, covering and identity
 //! queries run over the compacted index (cost proportional to *distinct*
@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 use rebeca_filter::{Filter, Notification};
-use rebeca_matcher::ShardedFilterIndex;
+use rebeca_matcher::FilterIndex;
 
 /// One subgroup: all table entries sharing one distinct filter.
 #[derive(Debug, Clone)]
@@ -64,7 +64,7 @@ pub struct RoutingTable<D> {
     by_filter: HashMap<Filter, u64>,
     /// Predicate index keyed by **subgroup id** (one key per distinct
     /// filter).
-    index: ShardedFilterIndex<u64>,
+    index: FilterIndex<u64>,
     next_entry: u64,
     next_sgid: u64,
 }
@@ -76,7 +76,7 @@ impl<D: Ord + Clone> Default for RoutingTable<D> {
             entries: HashMap::new(),
             subgroups: HashMap::new(),
             by_filter: HashMap::new(),
-            index: ShardedFilterIndex::new(),
+            index: FilterIndex::new(),
             next_entry: 0,
             next_sgid: 0,
         }
@@ -84,19 +84,9 @@ impl<D: Ord + Clone> Default for RoutingTable<D> {
 }
 
 impl<D: Ord + Clone> RoutingTable<D> {
-    /// Creates an empty routing table (default shard count).
+    /// Creates an empty routing table.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty routing table whose index uses `shards` worker
-    /// shards.  Results are independent of the shard count; the parameter
-    /// only tunes the index layout.
-    pub fn with_shards(shards: usize) -> Self {
-        Self {
-            index: ShardedFilterIndex::with_shards(shards),
-            ..Self::default()
-        }
     }
 
     /// The shared filter of an entry's subgroup.

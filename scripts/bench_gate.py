@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Bench regression gate: run every gated criterion bench (matcher, shards,
-churn, session, net, obs, retain) and fail when a measurement regresses
-against its checked-in `BENCH_*.json` baseline.
+"""Bench regression gate: run every gated criterion bench (matcher, churn,
+session, net, obs, retain) and fail when a measurement regresses against
+its checked-in `BENCH_*.json` baseline.
 
 Usage:
     python3 scripts/bench_gate.py [--skip-run]
@@ -11,18 +11,14 @@ between machines:
 
   * **Within-run ratio gates** (machine-independent, the primary signal):
     pairs measured in the *same* run — indexed vs linear matching, indexed
-    vs linear covering, sharded vs sequential single-notification latency —
-    must not regress by more than `BENCH_GATE_TOLERANCE` (default 25%)
-    against the same pair's ratio in the baseline file.  Pairs whose slow
-    reference side is bimodal between runs on small hosts (the 100k linear
-    matching scan, the per-notification batch reference loop) are held to
-    hard floors instead — a baseline-relative ratio would flap with the
-    reference side's cache mode.  The headline batch speedup at 100k
-    subscriptions must stay above `BENCH_GATE_MIN_BATCH_SPEEDUP`
-    (default 4.0).
-  * **Absolute median gates**: every gated median (`matcher/match/*`,
-    `matcher/covering/*`, `shards/single/*`, `shards/batch/*`) is compared
-    against the baseline's ns/iter with `BENCH_GATE_ABS_TOLERANCE`
+    vs linear covering — must not regress by more than
+    `BENCH_GATE_TOLERANCE` (default 25%) against the same pair's ratio in
+    the baseline file.  A pair whose slow reference side is bimodal between
+    runs on small hosts (the 100k linear matching scan) is held to a hard
+    floor instead — a baseline-relative ratio would flap with the
+    reference side's cache mode.
+  * **Absolute median gates**: every median under `GATED_PREFIXES` is
+    compared against the baseline's ns/iter with `BENCH_GATE_ABS_TOLERANCE`
     (default 25%).  On hardware unlike the reference machine, raise the
     env var (CI uses a looser bound) — the ratio gates still hold exactly.
   * **Hard ratio floors** (machine-independent): a few within-run pairs
@@ -40,11 +36,10 @@ between machines:
     retention store's binary-searched recent-window fetch must beat the
     full-scan oracle at 100k retained records
     (`BENCH_GATE_MIN_FETCH_SPEEDUP`, default 1.3 — the segment time
-    indexes may never degenerate into a whole-archive scan).  The two
-    bimodal-reference pairs above ride here too: indexed matching at 100k
+    indexes may never degenerate into a whole-archive scan).  The
+    bimodal-reference pair above rides here too: indexed matching at 100k
     must clear `BENCH_GATE_MIN_MATCH_100K_SPEEDUP` (default 8.0; worst
-    observed mode ~14x) and the 8-shard batch kernel at 10k must clear
-    `BENCH_GATE_MIN_BATCH_SPEEDUP_10K` (default 2.0; observed ~3.6-4.2x).
+    observed mode ~14x).
   * **Instrumentation overhead gates**: `obs_bench` measures the journal-on
     vs journal-off quickstart scenario as interleaved pairs (drift cancels
     inside each pair) and reports the median ratio as the synthetic sample
@@ -81,7 +76,6 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOLERANCE = float(os.environ.get("BENCH_GATE_TOLERANCE", "0.25"))
 ABS_TOLERANCE = float(os.environ.get("BENCH_GATE_ABS_TOLERANCE", "0.25"))
-MIN_BATCH_SPEEDUP = float(os.environ.get("BENCH_GATE_MIN_BATCH_SPEEDUP", "4.0"))
 OBS_OVERHEAD = float(os.environ.get("BENCH_GATE_OBS_OVERHEAD", "0.05"))
 TRACE_OVERHEAD = float(os.environ.get("BENCH_GATE_TRACE_OVERHEAD", "0.05"))
 MIN_COVERING_HIT_SPEEDUP = float(
@@ -89,13 +83,11 @@ MIN_COVERING_HIT_SPEEDUP = float(
 )
 MIN_CONTROL_REDUCTION = float(os.environ.get("BENCH_GATE_MIN_CONTROL_REDUCTION", "1.3"))
 MIN_MATCH_100K_SPEEDUP = float(os.environ.get("BENCH_GATE_MIN_MATCH_100K_SPEEDUP", "8.0"))
-MIN_BATCH_SPEEDUP_10K = float(os.environ.get("BENCH_GATE_MIN_BATCH_SPEEDUP_10K", "2.0"))
 MIN_FETCH_SPEEDUP = float(os.environ.get("BENCH_GATE_MIN_FETCH_SPEEDUP", "1.3"))
 OUT_DIR = os.environ.get("BENCH_GATE_DIR", "/tmp/bench_gate")
 
 BENCHES = {
     "matcher_bench": "BENCH_matcher.json",
-    "shard_bench": "BENCH_shards.json",
     "churn_bench": "BENCH_mobility.json",
     "session_bench": "BENCH_session.json",
     "net_bench": "BENCH_net.json",
@@ -114,8 +106,6 @@ GATED_PREFIXES = (
     "matcher/match/",
     "matcher/covering/",
     "matcher/covering_hit/",
-    "shards/single/",
-    "shards/batch/",
     "churn/relocation/",
     "churn/link_messages/",
     "session/quickstart/",
@@ -152,13 +142,6 @@ RATIO_GATES = [
     ("matcher/match_zipf/linear_hit/100000", "matcher/match_zipf/indexed_hit/100000"),
     ("matcher/match_zipf/linear_miss/10000", "matcher/match_zipf/indexed_miss/10000"),
     ("matcher/match_zipf/linear_miss/100000", "matcher/match_zipf/indexed_miss/100000"),
-    ("shards/single/sequential/10000", "shards/single/sharded8/10000"),
-    ("shards/single/sequential/100000", "shards/single/sharded8/100000"),
-    # The batch-vs-per-notification pairs are floored, not baseline-gated:
-    # the per-notification reference loop swings ~±30% between runs on
-    # small hosts, so its within-run ratio flaps against any single-mode
-    # baseline.  The 100k pair is additionally held to MIN_BATCH_SPEEDUP by
-    # the headline batch-speedup check below; see RATIO_FLOORS.
     # Mobility engine: the full relocation churn must stay within its
     # multiple of the no-relocation event-loop floor.
     # Reference side = the static (no-relocation) floor: the gate trips when
@@ -220,15 +203,6 @@ RATIO_FLOORS = [
         "matcher/match/linear/100000",
         "matcher/match/indexed/100000",
         MIN_MATCH_100K_SPEEDUP,
-    ),
-    # Batch matching must keep a decisive advantage over the per-notification
-    # loop at 10k subscriptions (observed ~3.6-4.2x; parity would mean the
-    # 64-lane bitmask path regressed).  The 100k pair's floor is the
-    # headline MIN_BATCH_SPEEDUP check.
-    (
-        "shards/batch/per_notification_loop/10000",
-        "shards/batch/match_batch_shards8/10000",
-        MIN_BATCH_SPEEDUP_10K,
     ),
     # Covering-scoped relocation floods must cut broker-to-broker
     # subscription-control messages by >= 30% in the relocation storm
@@ -328,23 +302,6 @@ def main():
         if speedup < floor:
             failures.append(
                 f"ratio floor {fast} vs {slow}: {speedup:.2f}x < {floor:.2f}x"
-            )
-
-    # Headline check: the 8-shard batch kernel at 100k subscriptions.
-    loop_ns = current.get("shards/batch/per_notification_loop/100000")
-    batch_ns = current.get("shards/batch/match_batch_shards8/100000")
-    if loop_ns is None or batch_ns is None:
-        failures.append("shard_bench did not report the 100000-subscription batch pair")
-    else:
-        speedup = loop_ns / batch_ns
-        status = "OK " if speedup >= MIN_BATCH_SPEEDUP else "FAIL"
-        print(
-            f"bench-gate: {status} batch speedup @100k/8 shards: {speedup:.2f}x "
-            f"(minimum {MIN_BATCH_SPEEDUP:.1f}x)"
-        )
-        if speedup < MIN_BATCH_SPEEDUP:
-            failures.append(
-                f"batch speedup @100k/8 shards: {speedup:.2f}x < {MIN_BATCH_SPEEDUP:.1f}x"
             )
 
     # Instrumentation overhead: each interleaved on/off ratio must stay
