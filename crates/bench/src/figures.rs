@@ -414,7 +414,6 @@ pub fn figure9(params: &Figure9Params) -> Vec<Figure9Series> {
         producers: params.producers,
         residence,
         publish_interval: params.publish_interval,
-        publish_batch: 1,
         link_delay: DelayModel::constant_millis(params.link_delay_ms),
         horizon,
         seed: params.seed,

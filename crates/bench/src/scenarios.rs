@@ -220,13 +220,6 @@ pub struct LogicalScenario {
     /// Interval between publications of one producer (each publication is
     /// addressed to a location drawn uniformly from the location space).
     pub publish_interval: SimDuration,
-    /// Number of notifications a producer hands to its border broker per
-    /// publish message (`1` = one `Publish` per notification, the paper's
-    /// setting; `> 1` groups them into `PublishBatch` messages that travel
-    /// the brokers' batch matching path end to end).  The average
-    /// publication rate is unchanged: a batch of `n` is published every
-    /// `n × publish_interval`.
-    pub publish_batch: usize,
     /// Per-link delay.
     pub link_delay: DelayModel,
     /// Total simulated time.
@@ -244,7 +237,6 @@ impl Default for LogicalScenario {
             producers: 2,
             residence: SimDuration::from_secs(1),
             publish_interval: SimDuration::from_millis(100),
-            publish_batch: 1,
             link_delay: DelayModel::constant_millis(5),
             horizon: SimTime::from_secs(20),
             seed: 42,
@@ -355,21 +347,11 @@ pub fn run_logical(params: &LogicalScenario) -> LogicalOutcome {
         )];
         let mut t = SimTime::from_millis(40 + p as u64 * 7);
         let mut spot = 0i64;
-        let batch_size = params.publish_batch.max(1);
         while t < params.horizon {
-            let mut batch = Vec::with_capacity(batch_size);
-            for _ in 0..batch_size {
-                let location = locations[rng.gen_range(0..locations.len())];
-                batch.push(vacancy_at(location, spot));
-                spot += 1;
-            }
-            let action = if batch_size == 1 {
-                ClientAction::Publish(batch.pop().expect("one notification"))
-            } else {
-                ClientAction::PublishBatch(batch)
-            };
-            script.push((t, action));
-            t += params.publish_interval.saturating_mul(batch_size as u64);
+            let location = locations[rng.gen_range(0..locations.len())];
+            script.push((t, ClientAction::Publish(vacancy_at(location, spot))));
+            spot += 1;
+            t += params.publish_interval;
         }
         sys.add_client(id, LogicalMobilityMode::LocationDependent, &[far], script)
             .unwrap();
@@ -861,25 +843,6 @@ mod tests {
             ..PhysicalScenario::default()
         });
         assert!(outcome.duplicated > 0);
-    }
-
-    #[test]
-    fn batched_publishing_delivers_and_saves_link_messages() {
-        let base = LogicalScenario {
-            horizon: SimTime::from_secs(5),
-            ..LogicalScenario::default()
-        };
-        let single = run_logical(&base);
-        let batched = run_logical(&LogicalScenario {
-            publish_batch: 8,
-            ..base
-        });
-        // The batch path must still deliver traffic to the roaming
-        // consumer…
-        assert!(batched.delivered > 0);
-        // …while spending fewer link messages for the same publication
-        // rate (batches travel broker-to-broker as one message).
-        assert!(batched.total_messages < single.total_messages);
     }
 
     #[test]

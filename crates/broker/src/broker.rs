@@ -556,47 +556,9 @@ impl BrokerCore {
         self.route_envelope(envelope, Some(from))
     }
 
-    /// A local client publishes a whole queue of notifications at once.
-    /// The border broker assigns consecutive per-publisher sequence numbers
-    /// and routes the queue with [`BrokerCore::route_envelope_batch`].
-    pub fn handle_publish_batch(
-        &mut self,
-        publisher: ClientId,
-        notifications: Vec<Notification>,
-        from: NodeId,
-    ) -> Outgoing {
-        let counter = self.publisher_seq.entry(publisher).or_insert(0);
-        let mut envelopes: Vec<Envelope> = notifications
-            .into_iter()
-            .map(|notification| {
-                *counter += 1;
-                Envelope::new(publisher, *counter, notification)
-            })
-            .collect();
-        if self.trace_rate != 0 {
-            for envelope in &mut envelopes {
-                self.sample_publication(envelope);
-            }
-        }
-        if self.record_published {
-            self.recent_published.extend(envelopes.iter().cloned());
-        }
-        self.route_envelope_batch(envelopes, Some(from))
-    }
-
     /// A routed notification arrives from a neighbouring broker.
     pub fn handle_notification(&mut self, envelope: Envelope, from: NodeId) -> Outgoing {
         self.route_envelope(envelope, Some(from))
-    }
-
-    /// A queue of routed notifications arrives from a neighbouring broker:
-    /// route each, then regroup the forwarded copies per next-hop link.
-    pub fn handle_notification_batch(
-        &mut self,
-        envelopes: Vec<Envelope>,
-        from: NodeId,
-    ) -> Outgoing {
-        self.route_envelope_batch(envelopes, Some(from))
     }
 
     /// Routes an envelope: forwards it to matching neighbouring brokers and
@@ -644,48 +606,6 @@ impl BrokerCore {
             envelope.trace = sampled(trace_id, match_span);
         }
         self.deliver_locally(&envelope, exclude, &mut out);
-        out
-    }
-
-    /// Routes a queue of envelopes one by one through
-    /// [`BrokerCore::route_envelope`], then regroups the forwarded copies
-    /// into one [`Message::NotificationBatch`] per next-hop link, in
-    /// ascending link order (a single copy travels as a plain
-    /// [`Message::Notification`]).  The local deliveries follow in queue
-    /// order.
-    pub fn route_envelope_batch(
-        &mut self,
-        mut envelopes: Vec<Envelope>,
-        exclude: Option<NodeId>,
-    ) -> Outgoing {
-        // A lone envelope keeps the routing walk's link order (under
-        // flooding, the order of `broker_links`).
-        if envelopes.len() == 1 {
-            let envelope = envelopes.pop().expect("one envelope");
-            return self.route_envelope(envelope, exclude);
-        }
-        let mut per_link: BTreeMap<NodeId, Vec<Envelope>> = BTreeMap::new();
-        let mut delivers = Vec::new();
-        for envelope in envelopes {
-            for (to, message) in self.route_envelope(envelope, exclude) {
-                match message {
-                    Message::Notification(copy) => per_link.entry(to).or_default().push(copy),
-                    deliver => delivers.push((to, deliver)),
-                }
-            }
-        }
-        let mut out: Outgoing = per_link
-            .into_iter()
-            .map(|(link, mut batch)| {
-                let message = if batch.len() == 1 {
-                    Message::Notification(batch.pop().expect("one envelope"))
-                } else {
-                    Message::NotificationBatch(batch)
-                };
-                (link, message)
-            })
-            .collect();
-        out.append(&mut delivers);
         out
     }
 
@@ -761,14 +681,7 @@ impl BrokerCore {
                 publisher,
                 notification,
             } => Ok(self.handle_publish(publisher, notification, from)),
-            Message::PublishBatch {
-                publisher,
-                notifications,
-            } => Ok(self.handle_publish_batch(publisher, notifications, from)),
             Message::Notification(envelope) => Ok(self.handle_notification(envelope, from)),
-            Message::NotificationBatch(envelopes) => {
-                Ok(self.handle_notification_batch(envelopes, from))
-            }
             Message::Subscribe { subscriber, filter } => {
                 Ok(self.handle_subscribe(subscriber, filter, from))
             }
@@ -981,114 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn publish_batch_assigns_consecutive_seqs_and_matches_per_notification() {
-        let mut b = broker();
-        b.handle_attach(ClientId::new(1), NodeId(100));
-        b.handle_subscribe(ClientId::new(1), parking(), NodeId(100));
-        b.handle_attach(ClientId::new(2), NodeId(101));
-
-        // A batch of three: two matching, one not.
-        let miss = Notification::builder().attr("service", "weather").build();
-        let out = b.handle_publish_batch(
-            ClientId::new(2),
-            vec![vacancy(), miss, vacancy()],
-            NodeId(101),
-        );
-        let delivers: Vec<&Delivery> = out
-            .iter()
-            .filter_map(|(_, m)| match m {
-                Message::Deliver(d) => Some(d),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(delivers.len(), 2);
-        assert_eq!(delivers[0].envelope.publisher_seq, 1);
-        assert_eq!(delivers[1].envelope.publisher_seq, 3);
-        assert_eq!(delivers[0].seq, 1);
-        assert_eq!(delivers[1].seq, 2);
-
-        // A later single publish continues the same sequence.
-        let out = b.handle_publish(ClientId::new(2), vacancy(), NodeId(101));
-        let d = out
-            .iter()
-            .find_map(|(_, m)| match m {
-                Message::Deliver(d) => Some(d),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(d.envelope.publisher_seq, 4);
-    }
-
-    #[test]
-    fn notification_batches_are_regrouped_per_link() {
-        let mut b = broker();
-        // Two remote subscriptions behind different links.
-        b.handle_subscribe(ClientId::new(5), parking(), NodeId(10));
-        b.handle_subscribe(ClientId::new(6), weather(), NodeId(11));
-        let envelope = |seq: u64, service: &str| {
-            Envelope::new(
-                ClientId::new(9),
-                seq,
-                Notification::builder()
-                    .attr("service", service)
-                    .attr("cost", 2)
-                    .build(),
-            )
-        };
-        // Arrives from a third direction: parking notifications go to link
-        // 10 as a batch, the weather one to link 11 as a single message.
-        let batch = vec![
-            envelope(1, "parking"),
-            envelope(2, "weather"),
-            envelope(3, "parking"),
-        ];
-        let mut out = b.handle_message(NodeId(100), Message::NotificationBatch(batch.clone()));
-        // NodeId(100) is no broker link, so nothing bounces back there.
-        let out = out.as_mut().expect("static message");
-        out.sort_by_key(|(dest, _)| *dest);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, NodeId(10));
-        match &out[0].1 {
-            Message::NotificationBatch(envs) => {
-                assert_eq!(
-                    envs.iter().map(|e| e.publisher_seq).collect::<Vec<_>>(),
-                    vec![1, 3]
-                );
-            }
-            other => panic!("expected a batch towards link 10, got {other:?}"),
-        }
-        assert_eq!(out[1].0, NodeId(11));
-        assert!(matches!(&out[1].1, Message::Notification(e) if e.publisher_seq == 2));
-
-        // The batch path agrees with routing each envelope individually.
-        let mut single_dests: Vec<NodeId> = batch
-            .iter()
-            .flat_map(|e| {
-                b.handle_notification(e.clone(), NodeId(100))
-                    .into_iter()
-                    .map(|(d, _)| d)
-            })
-            .collect();
-        single_dests.sort_unstable();
-        assert_eq!(single_dests, vec![NodeId(10), NodeId(10), NodeId(11)]);
-    }
-
-    #[test]
-    fn batched_deliveries_to_disconnected_clients_are_parked() {
-        let mut b = broker();
-        b.handle_attach(ClientId::new(1), NodeId(100));
-        b.handle_subscribe(ClientId::new(1), parking(), NodeId(100));
-        b.handle_detach(ClientId::new(1));
-        b.handle_attach(ClientId::new(2), NodeId(101));
-        let out = b.handle_publish_batch(ClientId::new(2), vec![vacancy(), vacancy()], NodeId(101));
-        assert!(out.is_empty());
-        let parked = b.take_parked();
-        assert_eq!(parked.len(), 2);
-        assert_eq!(parked[0].seq, 1);
-        assert_eq!(parked[1].seq, 2);
-    }
-
-    #[test]
     fn handle_message_dispatches_and_rejects_mobility_messages() {
         let mut b = broker();
         let ok = b.handle_message(
@@ -1145,13 +950,16 @@ mod tests {
     #[test]
     fn traced_publication_drafts_a_causal_chain() {
         let mut b = broker();
+        let mut plain = broker();
         b.set_trace_sampling(rebeca_obs::rate_per_64k(1.0));
         assert_eq!(b.trace_sampling(), 1 << 16);
         // One local subscriber and one remote subscription behind link 10.
-        b.handle_attach(ClientId::new(1), NodeId(100));
-        b.handle_subscribe(ClientId::new(1), parking(), NodeId(100));
-        b.handle_subscribe(ClientId::new(5), parking(), NodeId(10));
-        b.handle_attach(ClientId::new(2), NodeId(101));
+        for core in [&mut b, &mut plain] {
+            core.handle_attach(ClientId::new(1), NodeId(100));
+            core.handle_subscribe(ClientId::new(1), parking(), NodeId(100));
+            core.handle_subscribe(ClientId::new(5), parking(), NodeId(10));
+            core.handle_attach(ClientId::new(2), NodeId(101));
+        }
 
         let out = b.handle_publish(ClientId::new(2), vacancy(), NodeId(101));
         let spans = b.take_trace_spans();
@@ -1203,75 +1011,20 @@ mod tests {
         assert!(spans
             .iter()
             .all(|s| spans2.iter().all(|t| t.span_id != s.span_id)));
-    }
 
-    #[test]
-    fn traced_batches_regroup_per_link_under_their_route_spans() {
-        let mut plain = broker();
-        let mut traced = broker();
-        traced.set_trace_sampling(rebeca_obs::rate_per_64k(1.0));
-        for b in [&mut plain, &mut traced] {
-            b.handle_subscribe(ClientId::new(5), parking(), NodeId(10));
-            b.handle_subscribe(ClientId::new(6), weather(), NodeId(11));
-            b.handle_attach(ClientId::new(2), NodeId(101));
-        }
-        let miss = Notification::builder().attr("service", "none").build();
-        let batch = vec![vacancy(), miss, vacancy()];
-        let plain_out = plain.handle_publish_batch(ClientId::new(2), batch.clone(), NodeId(101));
-        let mut traced_out = traced.handle_publish_batch(ClientId::new(2), batch, NodeId(101));
+        // Sampling never changes where a publication goes: apart from the
+        // trace contexts, the traced output equals the untraced one.
+        let plain_out = plain.handle_publish(ClientId::new(2), vacancy(), NodeId(101));
         assert!(plain.take_trace_spans().is_empty());
-        let spans = traced.take_trace_spans();
-        // Three publish roots, a match per envelope, a route per forward.
-        assert_eq!(spans.iter().filter(|s| s.kind == "publish").count(), 3);
-        assert_eq!(spans.iter().filter(|s| s.kind == "match").count(), 3);
-        let routes: Vec<&TraceSpanDraft> = spans.iter().filter(|s| s.kind == "route").collect();
-        assert_eq!(routes.len(), 2);
-
-        // Both vacancies leave towards link 10 as one batch, each copy
-        // parented on the route span drafted for it, under its own match.
-        let [(NodeId(10), Message::NotificationBatch(copies))] = traced_out.as_slice() else {
-            panic!("expected one batch towards link 10, got {traced_out:?}");
-        };
-        assert_eq!(copies.len(), 2);
-        for (copy, route) in copies.iter().zip(&routes) {
-            assert_eq!(copy.trace.unwrap().parent_span, route.span_id);
-            let match_span = spans
-                .iter()
-                .find(|s| s.kind == "match" && s.span_id == route.parent_span)
-                .expect("route nests under a match");
-            assert_eq!(
-                match_span.detail,
-                format!("publisher=2 seq={}", copy.publisher_seq)
-            );
-        }
-
-        // The receiving broker's match spans nest under those route spans.
-        let mut b2 = BrokerCore::new(
-            NodeId(1),
-            BrokerRole::Border,
-            vec![NodeId(0)],
-            RoutingStrategyKind::Covering,
-        );
-        b2.handle_attach(ClientId::new(5), NodeId(200));
-        b2.handle_subscribe(ClientId::new(5), parking(), NodeId(200));
-        b2.handle_notification_batch(copies.clone(), NodeId(0));
-        let parents: Vec<u64> = b2
-            .take_trace_spans()
-            .iter()
-            .filter(|s| s.kind == "match")
-            .map(|s| s.parent_span)
-            .collect();
-        let route_ids: Vec<u64> = routes.iter().map(|r| r.span_id).collect();
-        assert_eq!(parents, route_ids);
-
-        // Apart from the trace contexts, the traced batch leaves exactly as
-        // the untraced one.
-        for (_, message) in &mut traced_out {
-            if let Message::NotificationBatch(copies) = message {
-                copies.iter_mut().for_each(|copy| copy.trace = None);
+        let mut stripped = out.clone();
+        for (_, message) in &mut stripped {
+            match message {
+                Message::Notification(copy) => copy.trace = None,
+                Message::Deliver(d) => d.envelope.trace = None,
+                _ => {}
             }
         }
-        assert_eq!(traced_out, plain_out);
+        assert_eq!(stripped, plain_out);
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! * [`Message`] — the message vocabulary of the system, including the
 //!   mobility control messages that `rebeca-core` adds on top (kept in one
 //!   enum because the paper requires all relocation traffic to travel over
-//!   the ordinary pub/sub links);
+//!   the ordinary pub/sub links).  As in the paper's `pub(n)`/`notify`
+//!   interface, a publication is one `Publish`, routed as one
+//!   `Notification` per next hop and delivered as one `Deliver` per
+//!   matching subscription; only replays and history merges group
+//!   deliveries, through [`Message::deliveries`];
 //! * [`BrokerCore`] — the static broker state machine: routing and
 //!   advertisement tables, local clients, publication routing and
 //!   sequence-annotated delivery;

@@ -87,21 +87,8 @@ pub enum Message {
         /// The notification to publish.
         notification: Notification,
     },
-    /// A client publishes a whole queue of notifications through its border
-    /// broker in one message.  The broker assigns consecutive per-publisher
-    /// sequence numbers and routes the queue (`handle_publish_batch`).
-    PublishBatch {
-        /// The publishing client.
-        publisher: ClientId,
-        /// The notifications to publish, in publication order.
-        notifications: Vec<Notification>,
-    },
     /// A routed notification travelling between brokers.
     Notification(Envelope),
-    /// A queue of routed notifications travelling between brokers as one
-    /// message: the receiving broker routes each envelope and regroups the
-    /// forwarded copies per next-hop link.
-    NotificationBatch(Vec<Envelope>),
     /// A subscription travelling from a client into (and through) the broker
     /// network.
     Subscribe {
@@ -274,6 +261,17 @@ pub enum Message {
 }
 
 impl Message {
+    /// The message that ships `deliveries` to one client link: nothing for
+    /// none, a [`Message::Deliver`] for one, a [`Message::DeliverBatch`]
+    /// for more.
+    pub fn deliveries(mut deliveries: Vec<Delivery>) -> Option<Message> {
+        match deliveries.len() {
+            0 => None,
+            1 => deliveries.pop().map(Message::Deliver),
+            _ => Some(Message::DeliverBatch(deliveries)),
+        }
+    }
+
     /// `true` for the administrative control messages introduced by the
     /// mobility extension (used by the experiment harness to split message
     /// counts into "notifications" and "administrative messages" as in
@@ -314,9 +312,7 @@ impl Message {
         matches!(
             self,
             Message::Publish { .. }
-                | Message::PublishBatch { .. }
                 | Message::Notification(_)
-                | Message::NotificationBatch(_)
                 | Message::Deliver(_)
                 | Message::DeliverBatch(_)
         )
@@ -328,9 +324,7 @@ impl Message {
             Message::Attach { .. } => "attach",
             Message::Detach { .. } => "detach",
             Message::Publish { .. } => "publish",
-            Message::PublishBatch { .. } => "publish_batch",
             Message::Notification(_) => "notification",
-            Message::NotificationBatch(_) => "notification_batch",
             Message::Subscribe { .. } => "subscribe",
             Message::Unsubscribe { .. } => "unsubscribe",
             Message::Advertise { .. } => "advertise",
@@ -358,9 +352,7 @@ impl Message {
             Message::Attach { .. } => "broker.rx.attach",
             Message::Detach { .. } => "broker.rx.detach",
             Message::Publish { .. } => "broker.rx.publish",
-            Message::PublishBatch { .. } => "broker.rx.publish_batch",
             Message::Notification(_) => "broker.rx.notification",
-            Message::NotificationBatch(_) => "broker.rx.notification_batch",
             Message::Subscribe { .. } => "broker.rx.subscribe",
             Message::Unsubscribe { .. } => "broker.rx.unsubscribe",
             Message::Advertise { .. } => "broker.rx.advertise",
@@ -387,7 +379,6 @@ impl Message {
     pub fn trace_context(&self) -> Option<TraceContext> {
         match self {
             Message::Notification(e) => e.trace,
-            Message::NotificationBatch(es) => es.iter().find_map(|e| e.trace),
             Message::Deliver(d) => d.envelope.trace,
             Message::DeliverBatch(ds) => ds.iter().find_map(|d| d.envelope.trace),
             Message::Replay { deliveries, .. } => deliveries.iter().find_map(|d| d.envelope.trace),
@@ -403,9 +394,7 @@ impl Message {
             Message::Attach { .. } => "broker.tx.attach",
             Message::Detach { .. } => "broker.tx.detach",
             Message::Publish { .. } => "broker.tx.publish",
-            Message::PublishBatch { .. } => "broker.tx.publish_batch",
             Message::Notification(_) => "broker.tx.notification",
-            Message::NotificationBatch(_) => "broker.tx.notification_batch",
             Message::Subscribe { .. } => "broker.tx.subscribe",
             Message::Unsubscribe { .. } => "broker.tx.unsubscribe",
             Message::Advertise { .. } => "broker.tx.advertise",
@@ -510,7 +499,18 @@ mod tests {
         );
         assert_eq!(Message::Notification(plain.clone()).trace_context(), None);
         assert_eq!(
-            Message::NotificationBatch(vec![plain.clone(), traced.clone()]).trace_context(),
+            Message::DeliverBatch(
+                [plain.clone(), traced.clone()]
+                    .into_iter()
+                    .map(|envelope| Delivery {
+                        subscriber: ClientId::new(3),
+                        filter: filter(),
+                        seq: envelope.publisher_seq,
+                        envelope,
+                    })
+                    .collect()
+            )
+            .trace_context(),
             Some(ctx)
         );
         assert_eq!(

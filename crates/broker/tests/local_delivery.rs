@@ -67,7 +67,6 @@ enum Op {
     Restore(ClientId, Filter),
     /// A local publication: excluded from delivery is the source node.
     Publish(NodeId, Notification),
-    PublishBatch(NodeId, Vec<Notification>),
     /// A notification from a neighbouring broker.
     Notify(Notification),
     /// A replayed envelope routed with nothing excluded.
@@ -89,8 +88,6 @@ fn op() -> impl Strategy<Value = Op> {
         (client(), filter()).prop_map(|(c, f)| Op::Restore(c, f)),
         (client_node(), notification()).prop_map(|(n, x)| Op::Publish(n, x)),
         (client_node(), notification()).prop_map(|(n, x)| Op::Publish(n, x)),
-        (client_node(), prop::collection::vec(notification(), 2..4))
-            .prop_map(|(n, xs)| Op::PublishBatch(n, xs)),
         notification().prop_map(Op::Notify),
         notification().prop_map(Op::RouteUnexcluded),
     ]
@@ -209,8 +206,7 @@ proptest! {
             RoutingStrategyKind::Covering,
         );
         // Traced: every publication is sampled and every delivery drafts a
-        // span, batches route envelope by envelope.  Untraced: no spans,
-        // batches take the batch matching path.
+        // span.  Untraced: no spans.
         if traced {
             broker.set_trace_sampling(rebeca_obs::rate_per_64k(1.0));
         }
@@ -290,12 +286,6 @@ proptest! {
                 Op::Publish(from, n) => {
                     oracle.deliver(&n, Some(from), &mut delivered, &mut parked, &mut spans);
                     broker.handle_publish(publisher, n, from)
-                }
-                Op::PublishBatch(from, ns) => {
-                    for n in &ns {
-                        oracle.deliver(n, Some(from), &mut delivered, &mut parked, &mut spans);
-                    }
-                    broker.handle_publish_batch(publisher, ns, from)
                 }
                 Op::Notify(n) => {
                     let from = BROKER_LINKS[0];

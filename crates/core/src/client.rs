@@ -58,10 +58,6 @@ pub enum ClientAction {
     Advertise(Filter),
     /// Publish one notification.
     Publish(Notification),
-    /// Publish a whole queue of notifications in one message; the border
-    /// broker assigns consecutive sequence numbers and routes the queue
-    /// through its batch matching path.
-    PublishBatch(Vec<Notification>),
     /// Physically move to a different border broker using the paper's
     /// relocation protocol: the old broker observes the connection drop, the
     /// client re-subscribes at the new broker with the last received
@@ -305,16 +301,6 @@ impl ClientNode {
                     },
                 );
             }
-            ClientAction::PublishBatch(notifications) => {
-                self.published += notifications.len() as u64;
-                self.send_to_broker(
-                    ctx,
-                    Message::PublishBatch {
-                        publisher: self.id,
-                        notifications,
-                    },
-                );
-            }
             ClientAction::MoveTo { broker } => {
                 // The old border broker observes the connection drop (it is
                 // not an application-level sign-off) and starts buffering.
@@ -501,8 +487,8 @@ impl Node for ClientNode {
                     self.execute(action, ctx);
                 }
             }
-            Incoming::Message { message, .. } => match message {
-                Message::Deliver(delivery) => {
+            Incoming::Message { message, .. } => {
+                let mut record = |delivery: Delivery| {
                     ctx.metrics().incr("client.delivered");
                     self.delivery_times
                         .push((ctx.now(), delivery.envelope.publisher_seq));
@@ -510,22 +496,15 @@ impl Node for ClientNode {
                         self.pending.push(delivery.clone());
                     }
                     self.log.record(delivery);
-                }
-                Message::DeliverBatch(deliveries) => {
+                };
+                match message {
+                    Message::Deliver(delivery) => record(delivery),
                     // A counterpart replay (or merged holding flush) arriving
                     // as one batch message: record each delivery in order.
-                    for delivery in deliveries {
-                        ctx.metrics().incr("client.delivered");
-                        self.delivery_times
-                            .push((ctx.now(), delivery.envelope.publisher_seq));
-                        if self.mailbox {
-                            self.pending.push(delivery.clone());
-                        }
-                        self.log.record(delivery);
-                    }
+                    Message::DeliverBatch(deliveries) => deliveries.into_iter().for_each(record),
+                    _ => {}
                 }
-                _ => {}
-            },
+            }
         }
     }
 }

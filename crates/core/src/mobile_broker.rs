@@ -1272,14 +1272,10 @@ impl MobileBroker {
         ctx.metrics()
             .add("retain.history_delivered", deliveries.len() as u64);
         ctx.metrics().incr("retain.history_session_closed");
-        match deliveries.len() {
-            0 => Vec::new(),
-            1 => vec![(
-                session.client_node,
-                Message::Deliver(deliveries.into_iter().next().expect("len checked")),
-            )],
-            _ => vec![(session.client_node, Message::DeliverBatch(deliveries))],
-        }
+        Message::deliveries(deliveries)
+            .map(|m| (session.client_node, m))
+            .into_iter()
+            .collect()
     }
 
     /// Diverts deliveries addressed to streams with an open history session
@@ -1291,44 +1287,27 @@ impl MobileBroker {
     ) -> Vec<(NodeId, Message)> {
         let mut kept = Vec::new();
         let mut held = 0u64;
+        // Holds `d` if its stream has an open session, else hands it back.
+        let mut divert = |d: Delivery| {
+            let key = (d.subscriber, d.filter);
+            if let Some(session) = self.history_sessions.get_mut(&key) {
+                session.held.push(d.envelope);
+                held += 1;
+                return None;
+            }
+            Some(Delivery {
+                subscriber: key.0,
+                filter: key.1,
+                seq: d.seq,
+                envelope: d.envelope,
+            })
+        };
         for (to, message) in out {
             match message {
-                Message::Deliver(d) => {
-                    let key = (d.subscriber, d.filter);
-                    if let Some(session) = self.history_sessions.get_mut(&key) {
-                        session.held.push(d.envelope);
-                        held += 1;
-                    } else {
-                        kept.push((
-                            to,
-                            Message::Deliver(Delivery {
-                                subscriber: key.0,
-                                filter: key.1,
-                                seq: d.seq,
-                                envelope: d.envelope,
-                            }),
-                        ));
-                    }
-                }
+                Message::Deliver(d) => kept.extend(divert(d).map(|d| (to, Message::Deliver(d)))),
                 Message::DeliverBatch(batch) => {
-                    let mut pass = Vec::new();
-                    for d in batch {
-                        let key = (d.subscriber, d.filter.clone());
-                        if let Some(session) = self.history_sessions.get_mut(&key) {
-                            session.held.push(d.envelope);
-                            held += 1;
-                        } else {
-                            pass.push(d);
-                        }
-                    }
-                    match pass.len() {
-                        0 => {}
-                        1 => kept.push((
-                            to,
-                            Message::Deliver(pass.into_iter().next().expect("len checked")),
-                        )),
-                        _ => kept.push((to, Message::DeliverBatch(pass))),
-                    }
+                    let pass = batch.into_iter().filter_map(&mut divert).collect();
+                    kept.extend(Message::deliveries(pass).map(|m| (to, m)));
                 }
                 other => kept.push((to, other)),
             }

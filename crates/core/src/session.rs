@@ -132,16 +132,6 @@ impl Session {
         system.enqueue_now(self.client, ClientAction::Publish(notification))
     }
 
-    /// Publishes a whole queue of notifications in one message; the border
-    /// broker routes the queue through its batch matching path.
-    pub fn publish_batch(
-        &self,
-        system: &mut MobilitySystem,
-        notifications: Vec<Notification>,
-    ) -> Result<(), RebecaError> {
-        system.enqueue_now(self.client, ClientAction::PublishBatch(notifications))
-    }
-
     /// Physically relocates to the border broker with topology index
     /// `broker` using the paper's relocation protocol: the old broker
     /// buffers, the new broker merges the replay, and the application keeps

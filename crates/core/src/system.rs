@@ -776,69 +776,6 @@ mod tests {
         assert!(sys.client_log(consumer).unwrap().is_clean());
     }
 
-    /// Batched publications travel the same delivery paths as single ones:
-    /// the consumer receives every notification of the batch exactly once,
-    /// in publisher-FIFO order, end to end over the broker line.
-    #[test]
-    fn batched_publications_deliver_like_single_ones() {
-        let topo = Topology::line(3);
-        let mut sys = system(&topo, 5, 1);
-
-        let consumer = ClientId::new(1);
-        let producer = ClientId::new(2);
-        sys.add_client(
-            consumer,
-            LogicalMobilityMode::LocationDependent,
-            &[0],
-            vec![
-                (
-                    SimTime::from_millis(1),
-                    ClientAction::Attach {
-                        broker: sys.broker_node(0).unwrap(),
-                    },
-                ),
-                (
-                    SimTime::from_millis(2),
-                    ClientAction::Subscribe(parking_filter()),
-                ),
-            ],
-        )
-        .unwrap();
-        let batches: Vec<(SimTime, ClientAction)> = (0..4)
-            .map(|b| {
-                (
-                    SimTime::from_millis(100 + b * 20),
-                    ClientAction::PublishBatch((0..5).map(|i| vacancy(b as i64 * 5 + i)).collect()),
-                )
-            })
-            .collect();
-        let mut script = vec![(
-            SimTime::from_millis(1),
-            ClientAction::Attach {
-                broker: sys.broker_node(2).unwrap(),
-            },
-        )];
-        script.extend(batches);
-        sys.add_client(
-            producer,
-            LogicalMobilityMode::LocationDependent,
-            &[2],
-            script,
-        )
-        .unwrap();
-
-        sys.run_until(SimTime::from_secs(2));
-
-        let log = sys.client_log(consumer).unwrap();
-        assert!(log.is_clean(), "violations: {:?}", log.violations());
-        assert_eq!(log.len(), 20);
-        assert_eq!(
-            log.distinct_publisher_seqs(producer),
-            (1..=20).collect::<Vec<u64>>()
-        );
-        assert_eq!(sys.client(producer).unwrap().published(), 20);
-    }
-
     /// A consumer without a matching subscription receives nothing.
     #[test]
     fn unrelated_subscriptions_receive_nothing() {

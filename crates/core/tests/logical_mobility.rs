@@ -600,3 +600,76 @@ fn loc_unsubscribe_removes_state_everywhere() {
         );
     }
 }
+
+/// Link messages per logical-mobility operation on the `sim_mobility`
+/// benchmark's shape: a 6-broker line, the Figure 7 movement graph and
+/// `one_step_per_hop(5)`, one consumer at each home broker 0..=4.
+///
+/// Today every broker forwards `LocSubscribe` and `LocationUpdate` on all
+/// of its other broker links, so each `loc_subscribe` and each
+/// `set_location` crosses all 5 edges of the line, wherever the consumer
+/// sits — even though every hop ≥ 2 already instantiates all four locations
+/// and never changes its filter.  ROADMAP direction 2(a), which stops a
+/// location update at the first hop whose filter does not change, is the
+/// change that will lower these counts.
+#[test]
+fn logical_mobility_link_messages_per_operation() {
+    let graph = MovementGraph::paper_example();
+    let topo = Topology::line(6);
+    let mut sys = SystemBuilder::new(&topo)
+        .config(config())
+        .link_delay(DelayModel::constant_millis(1))
+        .seed(5)
+        .build()
+        .unwrap();
+    let settle = |sys: &mut MobilitySystem| {
+        let until = sys.now() + SimDuration::from_millis(50);
+        sys.run_until(until);
+    };
+    // (broker-to-broker LocSubscribe, broker-to-broker LocationUpdate, all
+    // link messages including the client's own).
+    let counts = |sys: &MobilitySystem| {
+        let m = sys.metrics();
+        [
+            m.counter("broker.tx.loc_subscribe"),
+            m.counter("broker.tx.location_update"),
+            m.counter("network.messages"),
+        ]
+    };
+    let delta = |before: [u64; 3], after: [u64; 3]| -> [u64; 3] {
+        std::array::from_fn(|i| after[i] - before[i])
+    };
+    let walk = ["b", "d", "c", "a"].map(|name| loc(&graph, name));
+
+    for home in 0..5 {
+        let session = sys.connect(ClientId::new(1 + home as u32), home).unwrap();
+        settle(&mut sys);
+
+        let before = counts(&sys);
+        session
+            .loc_subscribe(
+                &mut sys,
+                template(),
+                AdaptivityPlan::one_step_per_hop(5),
+                loc(&graph, "a"),
+            )
+            .unwrap();
+        settle(&mut sys);
+        assert_eq!(
+            delta(before, counts(&sys)),
+            [5, 0, 6],
+            "loc_subscribe at broker {home}"
+        );
+
+        for location in walk {
+            let before = counts(&sys);
+            session.set_location(&mut sys, location).unwrap();
+            settle(&mut sys);
+            assert_eq!(
+                delta(before, counts(&sys)),
+                [0, 5, 6],
+                "set_location at broker {home}"
+            );
+        }
+    }
+}

@@ -554,7 +554,7 @@ impl RelocationMachine {
                 .saturating_add(1);
             core.sequences_mut().fast_forward(client, &filter, next_seq);
             out.push(Effect::Add("mobility.replayed", replay.len() as u64));
-            out.extend(deliver_batch(from, replay));
+            out.extend(Message::deliveries(replay).map(|m| Effect::Send(from, m)));
             self.maybe_checkpoint();
             return out;
         }
@@ -894,7 +894,7 @@ impl RelocationMachine {
                     envelope,
                 });
             }
-            out.extend(deliver_batch(client_node, batch));
+            out.extend(Message::deliveries(batch).map(|m| Effect::Send(client_node, m)));
             if let Some(state) = self.streams.get_mut(&key) {
                 state.replay_route = None;
             }
@@ -962,7 +962,7 @@ impl RelocationMachine {
                 envelope,
             });
         }
-        out.extend(deliver_batch(client_node, batch));
+        out.extend(Message::deliveries(batch).map(|m| Effect::Send(client_node, m)));
         if let Some(state) = self.streams.get_mut(&key) {
             state.replay_route = None;
         }
@@ -1076,21 +1076,6 @@ fn collect_subscription(core: &mut BrokerCore, client: ClientId, filter: &Filter
     core.sequences_mut().remove(client, filter);
     if core.local_subscriptions(client).is_empty() {
         core.remove_client(client);
-    }
-}
-
-/// Packages replay/flush deliveries for the client link: one
-/// [`Message::DeliverBatch`] when there is more than one delivery (so
-/// replays are observed on the wire as a single batch message instead of N
-/// per-notification sends), a plain [`Message::Deliver`] for a single one.
-fn deliver_batch(to: NodeId, mut batch: Vec<Delivery>) -> Vec<Effect> {
-    match batch.len() {
-        0 => Vec::new(),
-        1 => vec![Effect::Send(
-            to,
-            Message::Deliver(batch.pop().expect("one delivery")),
-        )],
-        _ => vec![Effect::Send(to, Message::DeliverBatch(batch))],
     }
 }
 

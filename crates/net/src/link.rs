@@ -539,7 +539,7 @@ impl Outbound {
 
     /// Sequences `message` from `from` to `to` and encodes it into the
     /// window.  A frame over the receiver's size limit is split into halves
-    /// (batch payloads only) until every piece fits; pieces are sequenced
+    /// (`DeliverBatch` payloads only) until every piece fits; pieces are sequenced
     /// in final order, so per-pair FIFO — and therefore exactly-once
     /// delivery — is preserved.
     ///
@@ -1006,63 +1006,35 @@ fn spawn_ack_pump(
     });
 }
 
-/// Splits an oversized frame into two halves when its message is a batch
-/// (the only unbounded payloads).  `Replay` is deliberately NOT split: the
-/// relocation protocol treats one replay message as the complete buffered
-/// stream, so halving it would flush the holding merge early.
+/// Splits an oversized frame into two halves when its message is a
+/// `DeliverBatch` of at least two deliveries.  `Replay` is deliberately NOT
+/// split: the relocation protocol treats one replay message as the complete
+/// buffered stream, so halving it would flush the holding merge early.
 fn split_frame(frame: Frame) -> Option<(Frame, Frame)> {
     let Frame::Message {
         from,
         to,
         delay_micros,
         seq: _,
-        message,
+        message: Message::DeliverBatch(mut deliveries),
     } = frame
     else {
         return None;
     };
+    if deliveries.len() < 2 {
+        return None;
+    }
+    let tail = deliveries.split_off(deliveries.len() / 2);
     // Halves are sequenced by `Outbound::push` as it encodes them, so the
     // placeholder 0 here is never written to a socket.
-    let remake = |message: Message| Frame::Message {
+    let remake = |deliveries| Frame::Message {
         from,
         to,
         delay_micros,
         seq: 0,
-        message,
+        message: Message::DeliverBatch(deliveries),
     };
-    match message {
-        Message::PublishBatch {
-            publisher,
-            mut notifications,
-        } if notifications.len() >= 2 => {
-            let tail = notifications.split_off(notifications.len() / 2);
-            Some((
-                remake(Message::PublishBatch {
-                    publisher,
-                    notifications,
-                }),
-                remake(Message::PublishBatch {
-                    publisher,
-                    notifications: tail,
-                }),
-            ))
-        }
-        Message::NotificationBatch(mut envelopes) if envelopes.len() >= 2 => {
-            let tail = envelopes.split_off(envelopes.len() / 2);
-            Some((
-                remake(Message::NotificationBatch(envelopes)),
-                remake(Message::NotificationBatch(tail)),
-            ))
-        }
-        Message::DeliverBatch(mut deliveries) if deliveries.len() >= 2 => {
-            let tail = deliveries.split_off(deliveries.len() / 2);
-            Some((
-                remake(Message::DeliverBatch(deliveries)),
-                remake(Message::DeliverBatch(tail)),
-            ))
-        }
-        _ => None,
-    }
+    Some((remake(deliveries), remake(tail)))
 }
 
 /// Spawns the reader thread for one accepted connection: decodes frames
@@ -1329,15 +1301,20 @@ pub(crate) fn spawn_acceptor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rebeca_broker::{ClientId, Envelope};
+    use rebeca_broker::{ClientId, Delivery, Envelope};
     use rebeca_filter::Notification;
 
-    fn envelope(seq: u64) -> Envelope {
-        Envelope::new(
-            ClientId::new(1),
+    fn delivery(seq: u64) -> Delivery {
+        Delivery {
+            subscriber: ClientId::new(2),
+            filter: rebeca_filter::Filter::new(),
             seq,
-            Notification::builder().attr("spot", seq as i64).build(),
-        )
+            envelope: Envelope::new(
+                ClientId::new(1),
+                seq,
+                Notification::builder().attr("spot", seq as i64).build(),
+            ),
+        }
     }
 
     fn frame(message: Message) -> Frame {
@@ -1352,10 +1329,10 @@ mod tests {
 
     #[test]
     fn oversized_batches_split_in_order_and_keep_the_route() {
-        let whole = frame(Message::NotificationBatch(vec![
-            envelope(1),
-            envelope(2),
-            envelope(3),
+        let whole = frame(Message::DeliverBatch(vec![
+            delivery(1),
+            delivery(2),
+            delivery(3),
         ]));
         let (first, second) = split_frame(whole).expect("batches split");
         match (&first, &second) {
@@ -1364,11 +1341,11 @@ mod tests {
                     from,
                     to,
                     delay_micros,
-                    message: Message::NotificationBatch(a),
+                    message: Message::DeliverBatch(a),
                     ..
                 },
                 Frame::Message {
-                    message: Message::NotificationBatch(b),
+                    message: Message::DeliverBatch(b),
                     ..
                 },
             ) => {
@@ -1376,7 +1353,11 @@ mod tests {
                     (*from, *to, *delay_micros),
                     (NodeId::new(0), NodeId::new(1), 7)
                 );
-                let seqs: Vec<u64> = a.iter().chain(b).map(|e| e.publisher_seq).collect();
+                let seqs: Vec<u64> = a
+                    .iter()
+                    .chain(b)
+                    .map(|d| d.envelope.publisher_seq)
+                    .collect();
                 assert_eq!(seqs, vec![1, 2, 3], "halves concatenate to the original");
             }
             other => panic!("unexpected split {other:?}"),
@@ -1386,7 +1367,7 @@ mod tests {
     #[test]
     fn singletons_and_protocol_steps_refuse_to_split() {
         // A one-element batch cannot shrink further.
-        assert!(split_frame(frame(Message::NotificationBatch(vec![envelope(1)]))).is_none());
+        assert!(split_frame(frame(Message::DeliverBatch(vec![delivery(1)]))).is_none());
         // Replay is one protocol step: halving it would flush the holding
         // merge early.
         assert!(split_frame(frame(Message::Replay {
@@ -1527,16 +1508,16 @@ mod tests {
     #[test]
     fn split_halves_are_sequenced_in_final_order() {
         let mut out = outbound(1024, None);
-        // Room for a batch of two envelopes, not three: a batch of eight
+        // Room for a batch of two deliveries, not three: a batch of eight
         // splits twice, into four frames.
-        let pair = frame(Message::NotificationBatch(vec![envelope(1), envelope(2)]));
+        let pair = frame(Message::DeliverBatch(vec![delivery(1), delivery(2)]));
         out.max_frame = pair.encode_framed().len() + 8;
         out.enqueue(N0, N1, 7, attach(1)).unwrap();
         out.enqueue(
             N0,
             N1,
             7,
-            Message::NotificationBatch((1..=8).map(envelope).collect()),
+            Message::DeliverBatch((1..=8).map(delivery).collect()),
         )
         .unwrap();
         out.enqueue(N0, N1, 7, attach(2)).unwrap();
@@ -1552,15 +1533,15 @@ mod tests {
                     from,
                     to,
                     delay_micros,
-                    message: Message::NotificationBatch(envelopes),
+                    message: Message::DeliverBatch(deliveries),
                     ..
                 } => {
                     assert_eq!(
                         (*from, *to, *delay_micros),
                         (NodeId::new(0), NodeId::new(1), 7)
                     );
-                    assert_eq!(envelopes.len(), 2);
-                    published.extend(envelopes.iter().map(|e| e.publisher_seq));
+                    assert_eq!(deliveries.len(), 2);
+                    published.extend(deliveries.iter().map(|d| d.envelope.publisher_seq));
                 }
                 other => panic!("expected a batch piece, got {other:?}"),
             }

@@ -94,9 +94,9 @@ const KIND_TRACE_REPORT: u8 = 10;
 const MSG_ATTACH: u8 = 1;
 const MSG_DETACH: u8 = 2;
 const MSG_PUBLISH: u8 = 3;
-const MSG_PUBLISH_BATCH: u8 = 4;
+// Tags 4 and 6 belonged to retired publication-batch messages; they stay
+// unused so that no old frame decodes as another message.
 const MSG_NOTIFICATION: u8 = 5;
-const MSG_NOTIFICATION_BATCH: u8 = 6;
 const MSG_SUBSCRIBE: u8 = 7;
 const MSG_UNSUBSCRIBE: u8 = 8;
 const MSG_ADVERTISE: u8 = 9;
@@ -648,27 +648,9 @@ pub fn put_message(buf: &mut Vec<u8>, message: &Message) {
             put_u32(buf, publisher.raw());
             put_notification(buf, notification);
         }
-        Message::PublishBatch {
-            publisher,
-            notifications,
-        } => {
-            put_u8(buf, MSG_PUBLISH_BATCH);
-            put_u32(buf, publisher.raw());
-            put_u32(buf, notifications.len() as u32);
-            for n in notifications {
-                put_notification(buf, n);
-            }
-        }
         Message::Notification(envelope) => {
             put_u8(buf, MSG_NOTIFICATION);
             put_envelope(buf, envelope);
-        }
-        Message::NotificationBatch(envelopes) => {
-            put_u8(buf, MSG_NOTIFICATION_BATCH);
-            put_u32(buf, envelopes.len() as u32);
-            for e in envelopes {
-                put_envelope(buf, e);
-            }
         }
         Message::Subscribe { subscriber, filter } => {
             put_u8(buf, MSG_SUBSCRIBE);
@@ -830,27 +812,7 @@ pub fn read_message(r: &mut ByteReader<'_>) -> Result<Message, DecodeError> {
             publisher: ClientId::new(r.u32()?),
             notification: r.notification()?,
         },
-        MSG_PUBLISH_BATCH => {
-            let publisher = ClientId::new(r.u32()?);
-            let n = r.u32()? as usize;
-            let mut notifications = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                notifications.push(r.notification()?);
-            }
-            Message::PublishBatch {
-                publisher,
-                notifications,
-            }
-        }
         MSG_NOTIFICATION => Message::Notification(r.envelope()?),
-        MSG_NOTIFICATION_BATCH => {
-            let n = r.u32()? as usize;
-            let mut envelopes = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                envelopes.push(r.envelope()?);
-            }
-            Message::NotificationBatch(envelopes)
-        }
         MSG_SUBSCRIBE => Message::Subscribe {
             subscriber: ClientId::new(r.u32()?),
             filter: r.filter()?,
@@ -1418,6 +1380,39 @@ mod tests {
             Frame::decode_framed(&bytes).unwrap_err(),
             WireError::Malformed
         );
+    }
+
+    #[test]
+    fn retired_message_tags_are_malformed_not_another_message() {
+        // Well-checksummed `Message` frames carrying tags 4 and 6 with the
+        // bodies their retired batch messages had: one notification, one
+        // envelope.
+        let envelope = delivery(1).envelope;
+        let mut publish_body = Vec::new();
+        put_u32(&mut publish_body, 9);
+        put_u32(&mut publish_body, 1);
+        put_notification(&mut publish_body, &envelope.notification);
+        let mut notification_body = Vec::new();
+        put_u32(&mut notification_body, 1);
+        put_envelope(&mut notification_body, &envelope);
+        for (tag, body) in [(4u8, publish_body), (6, notification_body)] {
+            let mut payload = vec![KIND_MESSAGE];
+            put_node(&mut payload, NodeId::new(0));
+            put_node(&mut payload, NodeId::new(2));
+            put_u64(&mut payload, 0);
+            put_u64(&mut payload, 1);
+            put_u8(&mut payload, tag);
+            payload.extend_from_slice(&body);
+            let mut bytes = Vec::new();
+            put_u32(&mut bytes, payload.len() as u32);
+            put_u32(&mut bytes, crc32(&payload));
+            bytes.extend_from_slice(&payload);
+            assert_eq!(
+                Frame::decode_framed(&bytes).unwrap_err(),
+                WireError::Malformed,
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

@@ -155,14 +155,7 @@ fn message() -> BoxedStrategy<Message> {
             publisher,
             notification
         }),
-        (client(), proptest::collection::vec(notification(), 0..5)).prop_map(
-            |(publisher, notifications)| Message::PublishBatch {
-                publisher,
-                notifications
-            }
-        ),
         envelope().prop_map(Message::Notification),
-        proptest::collection::vec(envelope(), 0..5).prop_map(Message::NotificationBatch),
         (client(), filter())
             .prop_map(|(subscriber, filter)| Message::Subscribe { subscriber, filter }),
         (client(), filter())
