@@ -306,18 +306,12 @@ pub fn figure5() -> Figure5Report {
         ],
     )
     .unwrap();
-    let mut script = vec![
-        (
-            SimTime::from_millis(1),
-            ClientAction::Attach {
-                broker: sys.broker_node(7).unwrap(),
-            },
-        ),
-        (
-            SimTime::from_millis(2),
-            ClientAction::Advertise(scenarios::parking_filter()),
-        ),
-    ];
+    let mut script = vec![(
+        SimTime::from_millis(1),
+        ClientAction::Attach {
+            broker: sys.broker_node(7).unwrap(),
+        },
+    )];
     let publications = 40u64;
     for i in 0..publications {
         script.push((

@@ -138,18 +138,12 @@ pub fn run_physical(params: &PhysicalScenario) -> PhysicalOutcome {
         ],
     )
     .unwrap();
-    let mut script = vec![
-        (
-            SimTime::from_millis(1),
-            ClientAction::Attach {
-                broker: sys.broker_node(7).unwrap(),
-            },
-        ),
-        (
-            SimTime::from_millis(2),
-            ClientAction::Advertise(parking_filter()),
-        ),
-    ];
+    let mut script = vec![(
+        SimTime::from_millis(1),
+        ClientAction::Attach {
+            broker: sys.broker_node(7).unwrap(),
+        },
+    )];
     for i in 0..params.publications {
         let at = SimTime::from_millis(50) + params.publish_interval.saturating_mul(i);
         script.push((

@@ -9,8 +9,7 @@
 //!
 //! Responsibilities (Section 2 of the paper):
 //!
-//! * maintain the routing and advertisement tables via the configured
-//!   [`RoutingStrategyKind`];
+//! * maintain the routing table via the configured [`RoutingStrategyKind`];
 //! * accept local clients (attach/detach), their subscriptions and
 //!   publications;
 //! * forward notifications towards matching subscriptions;
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 
 use rebeca_filter::{Filter, Notification};
 use rebeca_obs::TraceContext;
-use rebeca_routing::{AdvertisementTable, RoutingEngine, RoutingStrategyKind, RoutingTable};
+use rebeca_routing::{RoutingEngine, RoutingStrategyKind, RoutingTable};
 use rebeca_sim::NodeId;
 
 use crate::ids::ClientId;
@@ -113,7 +112,6 @@ pub struct BrokerCore {
     /// The subscriptions of local clients (set semantics per client).
     local: RoutingTable<ClientId>,
     engine: RoutingEngine<NodeId>,
-    ads: AdvertisementTable<NodeId>,
     seq: SequenceRegistry,
     /// Next per-publisher sequence number.  Looked up on every publish and
     /// never iterated in order, so a hash map beats the ordered map it
@@ -153,7 +151,6 @@ impl BrokerCore {
             clients_by_node: BTreeSet::new(),
             local: RoutingTable::new(),
             engine: RoutingEngine::new(strategy),
-            ads: AdvertisementTable::new(),
             seq: SequenceRegistry::new(),
             publisher_seq: HashMap::new(),
             parked: Vec::new(),
@@ -199,11 +196,6 @@ impl BrokerCore {
     /// to re-point delivery paths).
     pub fn engine_mut(&mut self) -> &mut RoutingEngine<NodeId> {
         &mut self.engine
-    }
-
-    /// Read access to the advertisement table.
-    pub fn advertisements(&self) -> &AdvertisementTable<NodeId> {
-        &self.ads
     }
 
     /// Read access to the per-`(client, filter)` sequence registry.
@@ -485,59 +477,6 @@ impl BrokerCore {
             .collect()
     }
 
-    /// An advertisement arrives.  Advertisements are flooded through the
-    /// broker network (each broker forwards new ones on every other link).
-    pub fn handle_advertise(
-        &mut self,
-        publisher: ClientId,
-        filter: Filter,
-        from: NodeId,
-    ) -> Outgoing {
-        if self.ads.insert(filter.clone(), from) {
-            self.broker_links
-                .iter()
-                .filter(|&&l| l != from)
-                .map(|&l| {
-                    (
-                        l,
-                        Message::Advertise {
-                            publisher,
-                            filter: filter.clone(),
-                        },
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// An advertisement is retracted.
-    pub fn handle_unadvertise(
-        &mut self,
-        publisher: ClientId,
-        filter: Filter,
-        from: NodeId,
-    ) -> Outgoing {
-        if self.ads.remove(&filter, &from) {
-            self.broker_links
-                .iter()
-                .filter(|&&l| l != from)
-                .map(|&l| {
-                    (
-                        l,
-                        Message::Unadvertise {
-                            publisher,
-                            filter: filter.clone(),
-                        },
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        }
-    }
-
     /// A local client publishes a notification.  The border broker assigns
     /// the per-publisher sequence number and routes the resulting envelope.
     pub fn handle_publish(
@@ -687,12 +626,6 @@ impl BrokerCore {
             }
             Message::Unsubscribe { subscriber, filter } => {
                 Ok(self.handle_unsubscribe(subscriber, filter, from))
-            }
-            Message::Advertise { publisher, filter } => {
-                Ok(self.handle_advertise(publisher, filter, from))
-            }
-            Message::Unadvertise { publisher, filter } => {
-                Ok(self.handle_unadvertise(publisher, filter, from))
             }
             other => Err(other),
         }
@@ -855,27 +788,6 @@ mod tests {
         assert_eq!(parked.len(), 1);
         assert_eq!(parked[0].seq, 1);
         assert!(b.take_parked().is_empty());
-    }
-
-    #[test]
-    fn advertisements_flood_once() {
-        let mut b = broker();
-        let out = b.handle_advertise(ClientId::new(9), parking(), NodeId(10));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, NodeId(11));
-        // Duplicate advertisement from the same link is suppressed.
-        assert!(b
-            .handle_advertise(ClientId::new(9), parking(), NodeId(10))
-            .is_empty());
-        // Retraction propagates once.
-        assert_eq!(
-            b.handle_unadvertise(ClientId::new(9), parking(), NodeId(10))
-                .len(),
-            1
-        );
-        assert!(b
-            .handle_unadvertise(ClientId::new(9), parking(), NodeId(10))
-            .is_empty());
     }
 
     #[test]

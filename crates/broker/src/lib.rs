@@ -15,9 +15,8 @@
 //!   `Notification` per next hop and delivered as one `Deliver` per
 //!   matching subscription; only replays and history merges group
 //!   deliveries, through [`Message::deliveries`];
-//! * [`BrokerCore`] — the static broker state machine: routing and
-//!   advertisement tables, local clients, publication routing and
-//!   sequence-annotated delivery;
+//! * [`BrokerCore`] — the static broker state machine: the routing table,
+//!   local clients, publication routing and sequence-annotated delivery;
 //! * [`SequenceRegistry`] / [`DeliveryBuffer`] — per-`(client, filter)`
 //!   sequence numbering and the buffer type behind the virtual counterparts
 //!   of roaming clients;

@@ -1,7 +1,7 @@
 //! The message vocabulary exchanged between clients and brokers.
 //!
 //! The first group of variants is the unchanged Rebeca interface of
-//! Section 2 (publish, subscribe, unsubscribe, advertisements, delivery).
+//! Section 2 (publish, subscribe, unsubscribe, delivery).
 //! The remaining variants are the *extension* the paper contributes: the
 //! administrative control messages of the physical-mobility relocation
 //! protocol (Section 4) and of the logical-mobility location-update protocol
@@ -102,20 +102,6 @@ pub enum Message {
         /// The unsubscribing client.
         subscriber: ClientId,
         /// The filter to retract.
-        filter: Filter,
-    },
-    /// An advertisement describing notifications a producer will publish.
-    Advertise {
-        /// The advertising producer.
-        publisher: ClientId,
-        /// The advertised filter.
-        filter: Filter,
-    },
-    /// Retraction of an advertisement.
-    Unadvertise {
-        /// The producer retracting its advertisement.
-        publisher: ClientId,
-        /// The advertised filter to retract.
         filter: Filter,
     },
     /// A notification delivered by a border broker to a local consumer.
@@ -272,52 +258,6 @@ impl Message {
         }
     }
 
-    /// `true` for the administrative control messages introduced by the
-    /// mobility extension (used by the experiment harness to split message
-    /// counts into "notifications" and "administrative messages" as in
-    /// Figure 9).
-    pub fn is_mobility_admin(&self) -> bool {
-        matches!(
-            self,
-            Message::ReSubscribe { .. }
-                | Message::Relocate { .. }
-                | Message::Fetch { .. }
-                | Message::Replay { .. }
-                | Message::SubscribeSince { .. }
-                | Message::HistoryFetch { .. }
-                | Message::HistoryReplay { .. }
-                | Message::LocSubscribe { .. }
-                | Message::LocUnsubscribe { .. }
-                | Message::LocationUpdate { .. }
-        )
-    }
-
-    /// `true` for plain Rebeca administrative messages (subscriptions,
-    /// advertisements, attach/detach).
-    pub fn is_plain_admin(&self) -> bool {
-        matches!(
-            self,
-            Message::Attach { .. }
-                | Message::Detach { .. }
-                | Message::Subscribe { .. }
-                | Message::Unsubscribe { .. }
-                | Message::Advertise { .. }
-                | Message::Unadvertise { .. }
-        )
-    }
-
-    /// `true` for data-plane messages (publications, routed notifications and
-    /// deliveries).
-    pub fn is_data(&self) -> bool {
-        matches!(
-            self,
-            Message::Publish { .. }
-                | Message::Notification(_)
-                | Message::Deliver(_)
-                | Message::DeliverBatch(_)
-        )
-    }
-
     /// A short, stable name used as a metrics counter suffix.
     pub fn kind_name(&self) -> &'static str {
         match self {
@@ -327,8 +267,6 @@ impl Message {
             Message::Notification(_) => "notification",
             Message::Subscribe { .. } => "subscribe",
             Message::Unsubscribe { .. } => "unsubscribe",
-            Message::Advertise { .. } => "advertise",
-            Message::Unadvertise { .. } => "unadvertise",
             Message::Deliver(_) => "deliver",
             Message::DeliverBatch(_) => "deliver_batch",
             Message::ReSubscribe { .. } => "resubscribe",
@@ -355,8 +293,6 @@ impl Message {
             Message::Notification(_) => "broker.rx.notification",
             Message::Subscribe { .. } => "broker.rx.subscribe",
             Message::Unsubscribe { .. } => "broker.rx.unsubscribe",
-            Message::Advertise { .. } => "broker.rx.advertise",
-            Message::Unadvertise { .. } => "broker.rx.unadvertise",
             Message::Deliver(_) => "broker.rx.deliver",
             Message::DeliverBatch(_) => "broker.rx.deliver_batch",
             Message::ReSubscribe { .. } => "broker.rx.resubscribe",
@@ -397,8 +333,6 @@ impl Message {
             Message::Notification(_) => "broker.tx.notification",
             Message::Subscribe { .. } => "broker.tx.subscribe",
             Message::Unsubscribe { .. } => "broker.tx.unsubscribe",
-            Message::Advertise { .. } => "broker.tx.advertise",
-            Message::Unadvertise { .. } => "broker.tx.unadvertise",
             Message::Deliver(_) => "broker.tx.deliver",
             Message::DeliverBatch(_) => "broker.tx.deliver_batch",
             Message::ReSubscribe { .. } => "broker.tx.resubscribe",
@@ -422,38 +356,6 @@ mod tests {
 
     fn filter() -> Filter {
         Filter::new().with("service", Constraint::Eq("parking".into()))
-    }
-
-    #[test]
-    fn message_classification() {
-        let n = Notification::builder().attr("service", "parking").build();
-        assert!(Message::Publish {
-            publisher: ClientId::new(1),
-            notification: n.clone()
-        }
-        .is_data());
-        assert!(Message::Subscribe {
-            subscriber: ClientId::new(1),
-            filter: filter()
-        }
-        .is_plain_admin());
-        assert!(Message::Fetch {
-            client: ClientId::new(1),
-            filter: filter(),
-            last_seq: 3,
-            junction: NodeId(2)
-        }
-        .is_mobility_admin());
-        assert!(Message::LocationUpdate {
-            sub_id: SubscriptionId::new(ClientId::new(1), 0),
-            location: LocationId(4),
-            hop: 1
-        }
-        .is_mobility_admin());
-        assert!(!Message::Attach {
-            client: ClientId::new(1)
-        }
-        .is_data());
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl SequenceRegistry {
             .unwrap_or(1)
     }
 
-    /// Last sequence number already assigned for the stream (0 when none).
-    pub fn last_assigned(&self, client: ClientId, filter: &Filter) -> u64 {
-        self.peek(client, filter).saturating_sub(1)
-    }
-
     /// Fast-forwards the stream so that the next assigned number is
     /// `next_seq`.  Used by a new border broker that takes over a stream
     /// after relocation (it continues numbering where the replayed buffer
@@ -156,13 +151,6 @@ impl DeliveryBuffer {
     pub fn last_seq(&self) -> u64 {
         self.deliveries.iter().map(|d| d.seq).max().unwrap_or(0)
     }
-
-    /// Drains the buffer, returning all deliveries in sequence order.
-    pub fn drain_ordered(&mut self) -> Vec<Delivery> {
-        let mut all = std::mem::take(&mut self.deliveries);
-        all.sort_by_key(|d| d.seq);
-        all
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +187,6 @@ mod tests {
         assert_eq!(reg.next(ClientId::new(1), &filter()), 2);
         assert_eq!(reg.next(ClientId::new(1), &other_filter()), 1);
         assert_eq!(reg.next(ClientId::new(2), &filter()), 1);
-        assert_eq!(reg.last_assigned(ClientId::new(1), &filter()), 2);
         assert_eq!(reg.peek(ClientId::new(1), &filter()), 3);
         assert_eq!(reg.len(), 3);
     }
@@ -245,20 +232,5 @@ mod tests {
         buf.push(delivery(1));
         assert!(buf.replay_after(1).is_empty());
         assert!(buf.replay_after(99).is_empty());
-    }
-
-    #[test]
-    fn drain_ordered_empties_the_buffer() {
-        let mut buf = DeliveryBuffer::new();
-        for seq in [2, 1] {
-            buf.push(delivery(seq));
-        }
-        let drained = buf.drain_ordered();
-        assert_eq!(
-            drained.iter().map(|d| d.seq).collect::<Vec<_>>(),
-            vec![1, 2]
-        );
-        assert!(buf.is_empty());
-        assert_eq!(buf.last_seq(), 0);
     }
 }

@@ -54,8 +54,6 @@ pub enum ClientAction {
     SubscribeSince(Filter, u64),
     /// Retract a plain subscription.
     Unsubscribe(Filter),
-    /// Advertise future publications.
-    Advertise(Filter),
     /// Publish one notification.
     Publish(Notification),
     /// Physically move to a different border broker using the paper's
@@ -278,15 +276,6 @@ impl ClientNode {
                     ctx,
                     Message::Unsubscribe {
                         subscriber: self.id,
-                        filter,
-                    },
-                );
-            }
-            ClientAction::Advertise(filter) => {
-                self.send_to_broker(
-                    ctx,
-                    Message::Advertise {
-                        publisher: self.id,
                         filter,
                     },
                 );

@@ -114,15 +114,6 @@ impl Session {
         system.enqueue_now(self.client, ClientAction::Unsubscribe(filter))
     }
 
-    /// Advertises future publications.
-    pub fn advertise(
-        &self,
-        system: &mut MobilitySystem,
-        filter: Filter,
-    ) -> Result<(), RebecaError> {
-        system.enqueue_now(self.client, ClientAction::Advertise(filter))
-    }
-
     /// Publishes one notification.
     pub fn publish(
         &self,

@@ -77,18 +77,12 @@ fn figure5_scenario(
     )
     .unwrap();
 
-    let mut producer_script = vec![
-        (
-            SimTime::from_millis(1),
-            ClientAction::Attach {
-                broker: sys.broker_node(7).unwrap(),
-            },
-        ),
-        (
-            SimTime::from_millis(2),
-            ClientAction::Advertise(parking_filter()),
-        ),
-    ];
+    let mut producer_script = vec![(
+        SimTime::from_millis(1),
+        ClientAction::Attach {
+            broker: sys.broker_node(7).unwrap(),
+        },
+    )];
     for i in 0..publications {
         producer_script.push((
             SimTime::from_millis(50 + i * publish_interval_ms),

@@ -69,18 +69,12 @@ fn traced_figure5(publications: u64) -> (MobilitySystem, ClientId, ClientId) {
     )
     .unwrap();
 
-    let mut producer_script = vec![
-        (
-            SimTime::from_millis(1),
-            ClientAction::Attach {
-                broker: sys.broker_node(7).unwrap(),
-            },
-        ),
-        (
-            SimTime::from_millis(2),
-            ClientAction::Advertise(parking_filter()),
-        ),
-    ];
+    let mut producer_script = vec![(
+        SimTime::from_millis(1),
+        ClientAction::Attach {
+            broker: sys.broker_node(7).unwrap(),
+        },
+    )];
     for i in 0..publications {
         producer_script.push((
             SimTime::from_millis(50 + i * 25),
@@ -271,10 +265,6 @@ fn tracing_is_off_by_default() {
                 ClientAction::Attach {
                     broker: sys.broker_node(7).unwrap(),
                 },
-            ),
-            (
-                SimTime::from_millis(2),
-                ClientAction::Advertise(parking_filter()),
             ),
             (SimTime::from_millis(50), ClientAction::Publish(vacancy(1))),
         ],

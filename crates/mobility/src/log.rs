@@ -44,6 +44,8 @@
 //! log as a single [`WalRecord::Checkpoint`] carrying the full durable
 //! state.  Recovery treats a checkpoint as a reset: records before it are
 //! irrelevant, records after it replay on top of it.
+//! [`FileBackend`] writes the checkpoint to a temporary file and renames it
+//! over the log, so a crash during compaction loses nothing.
 //!
 //! # Backends
 //!
@@ -80,7 +82,8 @@ pub trait LogBackend: fmt::Debug + Send {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()>;
     /// Reads the entire log content.
     fn read_all(&self) -> io::Result<Vec<u8>>;
-    /// Replaces the entire log content (compaction).
+    /// Replaces the entire log content (compaction).  A crash during the
+    /// call must leave either the old or the new content, never less.
     fn reset(&mut self, bytes: &[u8]) -> io::Result<()>;
     /// Clones the backend behind a box.  Clones of the same backend refer to
     /// the same underlying storage (the "disk"), so a handle kept outside a
@@ -202,9 +205,23 @@ impl LogBackend for FileBackend {
         }
     }
 
+    /// Writes `<path>.tmp`, syncs it, renames it over the log and syncs
+    /// the directory, so a crash at any point leaves the old log or the new
+    /// one.  That is 2 syncs per compaction.
     fn reset(&mut self, bytes: &[u8]) -> io::Result<()> {
+        use std::io::Write;
         self.ensure_parent()?;
-        std::fs::write(&self.path, bytes)
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, &self.path)?;
+        let dir = match self.path.parent() {
+            Some(parent) if !parent.as_os_str().is_empty() => parent,
+            _ => std::path::Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()
     }
 
     fn boxed_clone(&self) -> Box<dyn LogBackend> {
@@ -1163,6 +1180,56 @@ mod tests {
         assert_eq!(state.streams.len(), 1);
         assert_eq!(state.streams[0].buffered.len(), 2);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A fresh directory for one file-backend test; the WAL is `wal` in it.
+    fn wal_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("rebeca-wal-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn file_reset_replaces_the_content_and_leaves_no_temp_file() {
+        let dir = wal_dir("reset");
+        let mut backend = FileBackend::new(dir.join("wal"));
+        backend.append(b"old records").unwrap();
+        backend.reset(b"checkpoint").unwrap();
+        assert_eq!(backend.read_all().unwrap(), b"checkpoint");
+        assert!(!dir.join("wal.tmp").exists());
+        backend.append(b"+tail").unwrap();
+        assert_eq!(backend.read_all().unwrap(), b"checkpoint+tail");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn file_reset_ignores_then_overwrites_a_stale_temp_file() {
+        let dir = wal_dir("stale");
+        let mut backend = FileBackend::new(dir.join("wal"));
+        backend.append(b"live log").unwrap();
+        // A compaction that crashed before its rename left this behind.
+        std::fs::write(dir.join("wal.tmp"), b"half-written checkpoint, longer").unwrap();
+        assert_eq!(backend.read_all().unwrap(), b"live log");
+        backend.reset(b"checkpoint").unwrap();
+        assert_eq!(backend.read_all().unwrap(), b"checkpoint");
+        assert!(!dir.join("wal.tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn file_reset_that_cannot_write_keeps_the_old_log() {
+        let dir = wal_dir("blocked");
+        let mut backend = FileBackend::new(dir.join("wal"));
+        backend.append(b"records that must survive").unwrap();
+        // A directory where the temp file should go makes its creation fail.
+        std::fs::create_dir(dir.join("wal.tmp")).unwrap();
+        assert!(backend.reset(b"checkpoint").is_err());
+        assert_eq!(
+            std::fs::read(dir.join("wal")).unwrap(),
+            b"records that must survive"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -645,9 +645,9 @@ impl RelocationMachine {
         }
 
         // Junction test: an identical filter from a *different* link means
-        // the old delivery path runs through this broker (Section 4.1: the
-        // broker compares the re-issued subscription against its routing
-        // table and advertisements).
+        // the old delivery path runs through this broker.  Section 4.1 has
+        // the broker compare the re-issued subscription against its routing
+        // table and advertisements; this one reads the routing table only.
         let old_links = core
             .engine()
             .table()

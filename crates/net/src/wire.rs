@@ -94,13 +94,12 @@ const KIND_TRACE_REPORT: u8 = 10;
 const MSG_ATTACH: u8 = 1;
 const MSG_DETACH: u8 = 2;
 const MSG_PUBLISH: u8 = 3;
-// Tags 4 and 6 belonged to retired publication-batch messages; they stay
-// unused so that no old frame decodes as another message.
+// Tags 4 and 6 belonged to the retired publication-batch messages, and tags
+// 9 and 10 to the retired `Advertise`/`Unadvertise`; all four stay unused so
+// that no old frame decodes as another message.
 const MSG_NOTIFICATION: u8 = 5;
 const MSG_SUBSCRIBE: u8 = 7;
 const MSG_UNSUBSCRIBE: u8 = 8;
-const MSG_ADVERTISE: u8 = 9;
-const MSG_UNADVERTISE: u8 = 10;
 const MSG_DELIVER: u8 = 11;
 const MSG_DELIVER_BATCH: u8 = 12;
 const MSG_RESUBSCRIBE: u8 = 13;
@@ -662,16 +661,6 @@ pub fn put_message(buf: &mut Vec<u8>, message: &Message) {
             put_u32(buf, subscriber.raw());
             put_filter(buf, filter);
         }
-        Message::Advertise { publisher, filter } => {
-            put_u8(buf, MSG_ADVERTISE);
-            put_u32(buf, publisher.raw());
-            put_filter(buf, filter);
-        }
-        Message::Unadvertise { publisher, filter } => {
-            put_u8(buf, MSG_UNADVERTISE);
-            put_u32(buf, publisher.raw());
-            put_filter(buf, filter);
-        }
         Message::Deliver(delivery) => {
             put_u8(buf, MSG_DELIVER);
             put_delivery(buf, delivery);
@@ -819,14 +808,6 @@ pub fn read_message(r: &mut ByteReader<'_>) -> Result<Message, DecodeError> {
         },
         MSG_UNSUBSCRIBE => Message::Unsubscribe {
             subscriber: ClientId::new(r.u32()?),
-            filter: r.filter()?,
-        },
-        MSG_ADVERTISE => Message::Advertise {
-            publisher: ClientId::new(r.u32()?),
-            filter: r.filter()?,
-        },
-        MSG_UNADVERTISE => Message::Unadvertise {
-            publisher: ClientId::new(r.u32()?),
             filter: r.filter()?,
         },
         MSG_DELIVER => Message::Deliver(r.delivery()?),
@@ -1384,9 +1365,10 @@ mod tests {
 
     #[test]
     fn retired_message_tags_are_malformed_not_another_message() {
-        // Well-checksummed `Message` frames carrying tags 4 and 6 with the
-        // bodies their retired batch messages had: one notification, one
-        // envelope.
+        // Well-checksummed `Message` frames carrying the retired tags with
+        // the bodies their messages had: one notification (4) and one
+        // envelope (6) for the batches, a client and a filter for
+        // `Advertise` (9) and `Unadvertise` (10).
         let envelope = delivery(1).envelope;
         let mut publish_body = Vec::new();
         put_u32(&mut publish_body, 9);
@@ -1395,7 +1377,15 @@ mod tests {
         let mut notification_body = Vec::new();
         put_u32(&mut notification_body, 1);
         put_envelope(&mut notification_body, &envelope);
-        for (tag, body) in [(4u8, publish_body), (6, notification_body)] {
+        let mut advertise_body = Vec::new();
+        put_u32(&mut advertise_body, 9);
+        put_filter(&mut advertise_body, &filter());
+        for (tag, body) in [
+            (4u8, publish_body),
+            (6, notification_body),
+            (9, advertise_body.clone()),
+            (10, advertise_body),
+        ] {
             let mut payload = vec![KIND_MESSAGE];
             put_node(&mut payload, NodeId::new(0));
             put_node(&mut payload, NodeId::new(2));

@@ -160,10 +160,6 @@ fn message() -> BoxedStrategy<Message> {
             .prop_map(|(subscriber, filter)| Message::Subscribe { subscriber, filter }),
         (client(), filter())
             .prop_map(|(subscriber, filter)| Message::Unsubscribe { subscriber, filter }),
-        (client(), filter())
-            .prop_map(|(publisher, filter)| Message::Advertise { publisher, filter }),
-        (client(), filter())
-            .prop_map(|(publisher, filter)| Message::Unadvertise { publisher, filter }),
         delivery().prop_map(Message::Deliver),
         proptest::collection::vec(delivery(), 0..4).prop_map(Message::DeliverBatch),
         (client(), filter(), any::<u64>()).prop_map(|(client, filter, last_seq)| {

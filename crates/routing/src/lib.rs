@@ -3,9 +3,9 @@
 //! Implements the routing machinery of Section 2.2 of
 //! *"Supporting Mobility in Content-Based Publish/Subscribe Middleware"*
 //! (Fiege et al., Middleware 2003): broker routing tables whose entries are
-//! `(filter, link)` pairs, advertisement tables, and the
-//! flooding / simple / identity / covering / merging routing strategies whose
-//! covering and merging optimizations the paper's mobility algorithms exploit.
+//! `(filter, link)` pairs, and the flooding / simple / identity / covering /
+//! merging routing strategies whose covering and merging optimizations the
+//! paper's mobility algorithms exploit.
 //!
 //! The crate is deliberately independent of any concrete broker or network
 //! implementation: destinations are a generic type parameter (`D`), so the
@@ -38,10 +38,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod advertisement;
 mod strategy;
 mod table;
 
-pub use advertisement::AdvertisementTable;
 pub use strategy::{RoutingEngine, RoutingStrategyKind, UnsubscriptionEffect};
 pub use table::RoutingTable;

@@ -275,13 +275,6 @@ impl<D: Ord + Clone> RoutingEngine<D> {
     pub fn subgroup_count(&self) -> usize {
         self.table.subgroup_count()
     }
-
-    /// Number of distinct filters this broker has propagated towards the
-    /// given neighbour and not yet retracted (the size the *neighbour's*
-    /// routing table pays for this broker).
-    pub fn forwarded_size(&self, target: &D) -> usize {
-        self.forwarded.get(target).map(FilterSet::len).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -369,7 +362,6 @@ mod tests {
         let forwards = e.handle_subscribe(loc(&[2]), 1, &[1, 2]);
         // The forwarded filter towards link 2 is the merger {1, 2}.
         assert_eq!(forwards, vec![(2, loc(&[1, 2]))]);
-        assert_eq!(e.forwarded_size(&2), 1);
         // A third subscription covered by the merger is suppressed.
         assert!(e.handle_subscribe(loc(&[1, 2]), 1, &[1, 2]).is_empty());
     }

@@ -292,20 +292,6 @@ impl<D: Ord + Clone> RoutingTable<D> {
         });
     }
 
-    /// The destinations holding at least one filter that *overlaps* the given
-    /// filter (used to decide where a new subscription or a fetch request has
-    /// to travel).  Scans subgroups (distinct filters), not entries.
-    pub fn destinations_overlapping(&self, filter: &Filter, exclude: Option<&D>) -> Vec<D> {
-        let dests: BTreeSet<&D> = self
-            .subgroups
-            .values()
-            .filter(|sub| sub.filter.overlaps(filter))
-            .flat_map(|sub| sub.dests.keys())
-            .filter(|d| Some(*d) != exclude)
-            .collect();
-        dests.into_iter().cloned().collect()
-    }
-
     /// The destinations holding at least one filter that **covers** `filter`
     /// (including identical ones), via the index's exact covering query.
     /// Used by the mobility layer to scope relocation floods to links that
@@ -376,17 +362,6 @@ impl<D: Ord + Clone> RoutingTable<D> {
                 .into_iter()
                 .any(|sgid| self.subgroups[sgid].dests.keys().any(|d| d != excl)),
         }
-    }
-
-    /// Returns `true` when any stored filter from any destination other than
-    /// `exclude` equals the given filter — a single subgroup lookup.
-    pub fn contains_identical(&self, filter: &Filter, exclude: Option<&D>) -> bool {
-        self.by_filter.get(filter).is_some_and(|sgid| {
-            self.subgroups[sgid]
-                .dests
-                .keys()
-                .any(|d| Some(d) != exclude)
-        })
     }
 
     /// Total number of `(filter, destination)` entries.
@@ -522,8 +497,6 @@ mod tests {
         assert!(t.is_covered(&parking(3), None));
         assert!(!t.is_covered(&parking(20), None));
         assert!(!t.is_covered(&parking(3), Some(&1)));
-        assert!(t.contains_identical(&parking(10), None));
-        assert!(!t.contains_identical(&parking(3), None));
         assert!(t.contains_entry(&parking(10), &1));
         assert!(!t.contains_entry(&parking(10), &2));
     }
@@ -534,8 +507,10 @@ mod tests {
         t.insert(parking(10), 1);
         let weather = Filter::new().with("service", Constraint::Eq("weather".into()));
         t.insert(weather.clone(), 2);
-        assert_eq!(t.destinations_overlapping(&parking(3), None), vec![1]);
-        assert_eq!(t.destinations_overlapping(&weather, None), vec![2]);
+        assert_eq!(t.destinations_covering(&parking(3), None), vec![1]);
+        assert_eq!(t.destinations_covering(&weather, None), vec![2]);
+        assert!(t.destinations_covering(&parking(3), Some(&1)).is_empty());
+        assert!(t.destinations_covering(&parking(20), None).is_empty());
     }
 
     #[test]
