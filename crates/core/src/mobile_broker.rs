@@ -537,9 +537,9 @@ impl MobileBroker {
     /// `only` scopes the phase re-check to one client's streams — the
     /// per-replay path passes the replayed client so thousands of
     /// concurrent relocations do not turn each settle into a full
-    /// phase-probe sweep of every held stream (`phase` walks the machine's
-    /// relocation map with a filter comparison; the guard below is an
-    /// integer compare).  `None` sweeps everything, for the timeout-flush
+    /// phase-probe sweep of every held stream (`phase` clones the filter
+    /// and probes the machine's maps; the guard below is an integer
+    /// compare).  `None` sweeps everything, for the timeout-flush
     /// path where the machine may have flushed arbitrary streams.
     fn note_settled(
         &mut self,
@@ -968,8 +968,9 @@ impl MobileBroker {
     }
 
     /// Handles a location update travelling along the delivery paths: the
-    /// broker swaps its instantiated filter (unsubscribing vanished
-    /// locations, subscribing new ones) and forwards the update.
+    /// broker swaps its instantiated filter when the new location changes
+    /// it (unsubscribing vanished locations, subscribing new ones), only
+    /// notes the location otherwise, and forwards the update.
     fn handle_location_update(
         &mut self,
         sub_id: SubscriptionId,
@@ -978,7 +979,7 @@ impl MobileBroker {
         from: NodeId,
         ctx: &mut Context<'_, Message>,
     ) -> Vec<(NodeId, Message)> {
-        let Some(state) = self.loc_subs.get(&sub_id).cloned() else {
+        let Some(state) = self.loc_subs.get_mut(&sub_id) else {
             // Not participating in this subscription (e.g. the update reached
             // a broker the subscription never covered): nothing to do.
             return Vec::new();
@@ -991,18 +992,18 @@ impl MobileBroker {
             .into_iter()
             .map(|l| l.raw());
         let new_filter = state.template.instantiate(locations);
-        let unchanged = new_filter == state.current_filter;
-        self.install_loc_filter(
-            sub_id,
-            LocSubState {
-                location,
-                current_filter: new_filter,
-                ..state
-            },
-        );
-        if unchanged {
+        if new_filter == state.current_filter {
+            // The installed filter already fits: the routing table and the
+            // local subscriptions stay exactly as they are.
+            state.location = location;
             ctx.metrics().incr("logical.update_noop");
         } else {
+            let swapped = LocSubState {
+                location,
+                current_filter: new_filter,
+                ..state.clone()
+            };
+            self.install_loc_filter(sub_id, swapped);
             ctx.metrics().incr("logical.filter_swapped");
         }
 
@@ -1358,6 +1359,7 @@ impl Node for MobileBroker {
     type Message = Message;
 
     fn handle(&mut self, ctx: &mut Context<'_, Message>, event: Incoming<Message>) {
+        self.machine.expire_replay_routes(ctx.now().as_micros());
         let mut out = Vec::new();
         match event {
             Incoming::Timer {
@@ -1417,6 +1419,7 @@ impl Node for MobileBroker {
                             last_seq,
                             new_broker,
                             from,
+                            ctx.now().as_micros(),
                         );
                         self.apply_effects(effects, ctx, &mut out);
                         if let Some(trace_id) = trace_id {
@@ -1454,6 +1457,7 @@ impl Node for MobileBroker {
                             last_seq,
                             junction,
                             from,
+                            ctx.now().as_micros(),
                         );
                         self.apply_effects(effects, ctx, &mut out);
                         if let Some(trace_id) = trace_id {

@@ -673,3 +673,79 @@ fn logical_mobility_link_messages_per_operation() {
         }
     }
 }
+
+/// A location update whose instantiated filter is unchanged at a hop leaves
+/// that broker's routing state alone: Table 2's hop 2 instantiates all four
+/// locations, so moving the consumer from `a` to `b` is a no-op there.  The
+/// order of the entries towards broker 1 is part of what must not move — a
+/// retract + re-install would put the location filter behind the plain
+/// subscription installed after it.
+#[test]
+fn a_no_op_location_update_keeps_the_routing_state() {
+    let graph = MovementGraph::paper_example();
+    let mut sys = SystemBuilder::new(&Topology::line(3))
+        .config(config())
+        .link_delay(DelayModel::constant_millis(5))
+        .seed(1)
+        .build()
+        .unwrap();
+    let settle = |sys: &mut MobilitySystem| {
+        let until = sys.now() + SimDuration::from_millis(100);
+        sys.run_until(until);
+    };
+    let consumer = sys.connect(ClientId::new(1), 0).unwrap();
+    consumer
+        .loc_subscribe(
+            &mut sys,
+            template(),
+            AdaptivityPlan::one_step_per_hop(3),
+            loc(&graph, "a"),
+        )
+        .unwrap();
+    settle(&mut sys);
+    let taxi = Filter::new().with("service", Constraint::Eq("taxi".into()));
+    sys.connect(ClientId::new(2), 0)
+        .unwrap()
+        .subscribe(&mut sys, taxi.clone())
+        .unwrap();
+    settle(&mut sys);
+
+    let towards_broker_1 = sys.broker_node(1).unwrap();
+    let hop_2 = |sys: &MobilitySystem| {
+        let broker = sys.broker(2).unwrap();
+        let filters: Vec<Filter> = broker
+            .core()
+            .engine()
+            .table()
+            .filters_for(&towards_broker_1)
+            .into_iter()
+            .cloned()
+            .collect();
+        (broker.routing_entries(), filters)
+    };
+    let before = hop_2(&sys);
+    assert_eq!(before.1.len(), 2);
+    assert_eq!(
+        before.1[1], taxi,
+        "the plain subscription was installed last"
+    );
+    let metric = |sys: &MobilitySystem, name: &str| sys.metrics().counter(name);
+    let (noop, swapped) = (
+        metric(&sys, "logical.update_noop"),
+        metric(&sys, "logical.filter_swapped"),
+    );
+
+    consumer.set_location(&mut sys, loc(&graph, "b")).unwrap();
+    settle(&mut sys);
+
+    // Hops 0 and 1 swap their filters (Table 2, row t = 1); hop 2 does not.
+    assert_eq!(metric(&sys, "logical.update_noop") - noop, 1);
+    assert_eq!(metric(&sys, "logical.filter_swapped") - swapped, 2);
+    assert_eq!(hop_2(&sys), before);
+    let sub = SubscriptionId::new(ClientId::new(1), 0);
+    assert_eq!(
+        sys.broker(2).unwrap().loc_sub_location(sub),
+        Some(loc(&graph, "b")),
+        "the no-op hop still records the new location"
+    );
+}

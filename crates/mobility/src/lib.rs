@@ -5,10 +5,11 @@
 //! Content-Based Publish/Subscribe Middleware"*, Fiege et al., Middleware
 //! 2003) lives here as two cooperating layers:
 //!
-//! * [`RelocationMachine`] — a transport-agnostic state machine over
-//!   per-stream phases ([`RelocationPhase`]: Local, Holding, AwaitingReplay,
-//!   Flushed) with explicit transitions for ReSubscribe / Relocate / Fetch /
-//!   Replay / Timeout.  The machine talks to the world through returned
+//! * [`RelocationMachine`] — a transport-agnostic state machine with one
+//!   map per role (virtual counterparts, holdings, replay routes), read as
+//!   per-stream phases ([`RelocationPhase`]: Local, Holding,
+//!   AwaitingReplay), with explicit transitions for ReSubscribe / Relocate /
+//!   Fetch / Replay / Timeout.  The machine talks to the world through returned
 //!   [`Effect`]s, so the mobility-aware broker of `rebeca-core` shrinks to a
 //!   thin adapter that wires the machine to the static `BrokerCore` and the
 //!   simulator's timers.

@@ -10,36 +10,38 @@
 //! unchanged under the deterministic simulator, a threaded runtime, or a
 //! unit test driving it directly.
 //!
-//! # Stream life cycle
+//! # Stream state
 //!
-//! Every `(client, filter)` stream moves through four phases:
+//! A broker keeps one map per role, each keyed by the `(client, filter)`
+//! stream, so every count is a map length and an event touches only the
+//! streams it names:
 //!
 //! ```text
-//!             detach                    ReSubscribe (elsewhere)
-//!   ┌───────┐ (counterpart buffers) ┌─────────┐  Relocate/Fetch   ┌────────────────┐
-//!   │ Local │──────────────────────▶│  Local  │ ────────────────▶ │ AwaitingReplay │
-//!   └───────┘                       │ +buffer │   (route noted)   └───────┬────────┘
-//!       ▲                           └─────────┘                           │ Replay
-//!       │                                                                 ▼
-//!       │          Replay merged / timeout flush                   ┌─────────┐
-//!       └────────────────◀──────── [Flushed] ◀─────────────────────│ Holding │
-//!            (resources GC'd)                                      └─────────┘
+//!   old border broker        brokers on the way back        new border broker
+//!  ┌─────────────┐  Fetch   ┌───────────────┐  Relocate    ┌─────────┐
+//!  │ counterpart │◀─────────│ replay route  │◀─────────────│ holding │◀─ ReSubscribe
+//!  │  (buffers)  │─────────▶│  (next hop)   │─────────────▶│ (held)  │─▶ merged batch
+//!  └─────────────┘  Replay  └───────────────┘  Replay      └─────────┘
+//!  opened on detach;        noted by Relocate/Fetch;       opened on ReSubscribe;
+//!  GC'd once replayed       taken by the Replay, or        closed by the Replay
+//!  (or its lease expires)   expired after the timeout      or the timeout flush
 //! ```
 //!
-//! * **Local** — the stream is served normally; at the *old* border broker a
-//!   disconnected stream stays Local with its virtual counterpart buffering
-//!   in place of the client.
-//! * **Holding** — the *new* border broker created a holding buffer on
-//!   re-subscription: fresh deliveries are held back until the replay has
-//!   been merged (or the relocation timeout fires).
+//! The observable [`RelocationPhase`] reads those maps:
+//!
+//! * **Holding** — the *new* border broker holds fresh deliveries back
+//!   until the replay has been merged (or the relocation timeout fires).
 //! * **AwaitingReplay** — a broker recorded the route a replay will travel
-//!   back over (the junction and every broker a `Relocate`/`Fetch` passed).
-//! * **Flushed** — terminal: the relocation settled (replay merged or
-//!   holding flushed by timeout); its resources — including the timeout tag
-//!   guarding it — are reclaimed in the same event, so a settled stream
-//!   reads as Local again.
+//!   back over: every broker that passed a `Relocate`/`Fetch` on.  The old
+//!   border broker sends its `Replay` straight back and a dead end sends
+//!   nothing, so neither records one.  The route goes when the replay
+//!   passes or, at the latest, with the first event handled after the
+//!   relocation timeout ([`RelocationMachine::expire_replay_routes`]).
+//! * **Local** — everything else, including a disconnected stream at the
+//!   *old* border broker whose virtual counterpart buffers in place of the
+//!   client.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map::Entry, BTreeMap, BTreeSet, VecDeque};
 
 use rebeca_broker::{BrokerCore, ClientId, Delivery, DeliveryBuffer, Envelope, Message, Outgoing};
 use rebeca_filter::Filter;
@@ -60,9 +62,6 @@ pub enum RelocationPhase {
     Holding,
     /// A replay route is recorded; the replay is expected to pass through.
     AwaitingReplay,
-    /// The relocation settled; resources are reclaimed immediately, so this
-    /// phase is only observable while the settling event is being handled.
-    Flushed,
 }
 
 /// A side effect requested by the machine, interpreted by the hosting
@@ -80,56 +79,59 @@ pub enum Effect {
     Add(&'static str, u64),
 }
 
-/// Holding-buffer state at the new border broker for one in-flight
-/// relocation.
-#[derive(Debug, Clone, Default)]
-struct HoldingState {
-    /// Envelopes that arrived for the relocating subscription since the
-    /// re-subscription, in arrival order.
-    envelopes: Vec<Envelope>,
-    /// The last sequence number the client reported on re-subscription.
-    last_seq: u64,
-    /// The timer tag guarding this relocation.
-    timeout_tag: u64,
-}
-
-/// All relocation state of one `(client, filter)` stream at this broker.
-#[derive(Debug, Clone, Default)]
-struct StreamState {
-    /// Virtual counterpart buffer (`Some` once the client detached here).
-    counterpart: Option<DeliveryBuffer>,
+/// A virtual counterpart at the old border broker: buffers deliveries for
+/// a disconnected client until a relocation replays them.
+#[derive(Debug, Clone)]
+struct Counterpart {
+    buffer: DeliveryBuffer,
     /// The node the (disconnected) client was last reachable at.
-    client_node: Option<NodeId>,
+    client_node: NodeId,
     /// Sequence watermark at the time the counterpart was opened.
     next_seq: u64,
     /// Lease start: broker time (microseconds) the counterpart was opened
     /// at.  The lease sweep expires counterparts whose client never
     /// returned within the configured counterpart lease.
     opened_at: u64,
-    /// Holding buffer (`Some` at the new border broker mid-relocation).
-    holding: Option<HoldingState>,
-    /// Next hop for replay messages travelling back towards the new border
-    /// broker.
-    replay_route: Option<NodeId>,
 }
 
-impl StreamState {
-    fn is_empty(&self) -> bool {
-        self.counterpart.is_none() && self.holding.is_none() && self.replay_route.is_none()
-    }
+/// Holding-buffer state at the new border broker for one in-flight
+/// relocation.
+#[derive(Debug, Clone)]
+struct HoldingState {
+    /// Envelopes that arrived for the relocating subscription since the
+    /// re-subscription, in arrival order.
+    envelopes: Vec<Envelope>,
+    /// The node the re-subscribing client is attached at.
+    client_node: NodeId,
+    /// The last sequence number the client reported on re-subscription.
+    last_seq: u64,
+    /// The timer tag guarding this relocation.
+    timeout_tag: u64,
+}
+
+/// Next hop for a replay travelling back towards the new border broker.
+#[derive(Debug, Clone, Copy)]
+struct ReplayRoute {
+    next_hop: NodeId,
+    /// Broker time (microseconds) the route was recorded at.
+    recorded_at: u64,
 }
 
 /// The relocation protocol engine: explicit transitions over per-stream
 /// states, write-ahead logging, and effect-based output.
 #[derive(Debug, Clone)]
 pub struct RelocationMachine {
-    streams: BTreeMap<StreamKey, StreamState>,
+    counterparts: BTreeMap<StreamKey, Counterpart>,
+    holdings: BTreeMap<StreamKey, HoldingState>,
+    replay_routes: BTreeMap<StreamKey, ReplayRoute>,
+    /// Every recorded replay route as `(recorded_at, key)`, oldest first;
+    /// [`RelocationMachine::expire_replay_routes`] pops from the front.
+    route_expiry: VecDeque<(u64, StreamKey)>,
     /// Timer tags mapping back to the relocation they guard.  Tags are
     /// removed both when the timer fires *and* when the replay settles the
     /// relocation first, so the map stays empty across settled relocations.
     timeout_tags: BTreeMap<u64, StreamKey>,
     next_timeout_tag: u64,
-    holding_count: usize,
     /// Routing re-points of committed relocations, kept so checkpoints can
     /// carry them (recovery must re-install them; see
     /// [`WalRecord::RelocationCommit`]).  Deduplicated, so growth is
@@ -155,10 +157,12 @@ impl RelocationMachine {
     /// Creates a machine with an empty state over the given log.
     pub fn new(relocation_timeout: SimDuration, log: HandoffLog) -> Self {
         Self {
-            streams: BTreeMap::new(),
+            counterparts: BTreeMap::new(),
+            holdings: BTreeMap::new(),
+            replay_routes: BTreeMap::new(),
+            route_expiry: VecDeque::new(),
             timeout_tags: BTreeMap::new(),
             next_timeout_tag: 0,
-            holding_count: 0,
             repoints: BTreeSet::new(),
             generation: 0,
             relocation_timeout,
@@ -226,14 +230,15 @@ impl RelocationMachine {
             for delivery in snap.buffered {
                 buffer.push(delivery);
             }
-            let state = machine
-                .streams
-                .entry((snap.client, snap.filter))
-                .or_default();
-            state.counterpart = Some(buffer);
-            state.client_node = Some(snap.client_node);
-            state.next_seq = snap.next_seq;
-            state.opened_at = snap.opened_at;
+            machine.counterparts.insert(
+                (snap.client, snap.filter),
+                Counterpart {
+                    buffer,
+                    client_node: snap.client_node,
+                    next_seq: snap.next_seq,
+                    opened_at: snap.opened_at,
+                },
+            );
         }
 
         // Re-point delivery paths of relocations that committed before the
@@ -263,13 +268,15 @@ impl RelocationMachine {
             machine.next_timeout_tag += 1;
             let key = (holding.client, holding.filter);
             machine.timeout_tags.insert(tag, key.clone());
-            let state = machine.streams.entry(key).or_default();
-            state.holding = Some(HoldingState {
-                envelopes: Vec::new(),
-                last_seq: holding.last_seq,
-                timeout_tag: tag,
-            });
-            machine.holding_count += 1;
+            machine.holdings.insert(
+                key,
+                HoldingState {
+                    envelopes: Vec::new(),
+                    client_node: holding.client_node,
+                    last_seq: holding.last_seq,
+                    timeout_tag: tag,
+                },
+            );
             tags.push(tag);
         }
         (machine, tags)
@@ -298,24 +305,17 @@ impl RelocationMachine {
 
     /// Number of streams with an active virtual counterpart.
     pub fn counterpart_count(&self) -> usize {
-        self.streams
-            .values()
-            .filter(|s| s.counterpart.is_some())
-            .count()
+        self.counterparts.len()
     }
 
     /// Total number of deliveries buffered by virtual counterparts.
     pub fn buffered_deliveries(&self) -> usize {
-        self.streams
-            .values()
-            .filter_map(|s| s.counterpart.as_ref())
-            .map(DeliveryBuffer::len)
-            .sum()
+        self.counterparts.values().map(|c| c.buffer.len()).sum()
     }
 
     /// Number of relocations currently holding back fresh deliveries.
     pub fn pending_relocations(&self) -> usize {
-        self.holding_count
+        self.holdings.len()
     }
 
     /// Monotonic count of counterparts the lease sweep expired.
@@ -332,12 +332,13 @@ impl RelocationMachine {
 
     /// The current phase of a stream at this broker.
     pub fn phase(&self, client: ClientId, filter: &Filter) -> RelocationPhase {
-        match self.streams.get(&(client, filter.clone())) {
-            None => RelocationPhase::Local,
-            Some(s) if s.holding.is_some() => RelocationPhase::Holding,
-            Some(s) if s.replay_route.is_some() => RelocationPhase::AwaitingReplay,
-            Some(s) if s.counterpart.is_some() => RelocationPhase::Local,
-            Some(_) => RelocationPhase::Flushed,
+        let key = (client, filter.clone());
+        if self.holdings.contains_key(&key) {
+            RelocationPhase::Holding
+        } else if self.replay_routes.contains_key(&key) {
+            RelocationPhase::AwaitingReplay
+        } else {
+            RelocationPhase::Local
         }
     }
 
@@ -354,9 +355,7 @@ impl RelocationMachine {
         };
         let node = record.node;
         for filter in core.local_subscriptions(client) {
-            let key = (client, filter.clone());
-            let state = self.streams.entry(key).or_default();
-            if state.counterpart.is_none() {
+            if let Entry::Vacant(slot) = self.counterparts.entry((client, filter.clone())) {
                 let next_seq = core.sequences().peek(client, filter);
                 self.log.append(&WalRecord::StreamOpen {
                     client,
@@ -365,10 +364,12 @@ impl RelocationMachine {
                     next_seq,
                     opened_at: now_micros,
                 });
-                state.counterpart = Some(DeliveryBuffer::new());
-                state.client_node = Some(node);
-                state.next_seq = next_seq;
-                state.opened_at = now_micros;
+                slot.insert(Counterpart {
+                    buffer: DeliveryBuffer::new(),
+                    client_node: node,
+                    next_seq,
+                    opened_at: now_micros,
+                });
             }
         }
         self.maybe_checkpoint();
@@ -383,35 +384,35 @@ impl RelocationMachine {
         }
         for delivery in parked {
             let key = (delivery.subscriber, delivery.filter.clone());
-            let state = self.streams.entry(key).or_default();
-            if state.counterpart.is_none() {
-                // A subscription that was never observed detaching (e.g.
-                // installed while the client was already away): open the
-                // stream on first append.
-                let node = core
-                    .client(delivery.subscriber)
-                    .map(|r| r.node)
-                    .unwrap_or(NodeId(usize::MAX));
-                self.log.append(&WalRecord::StreamOpen {
-                    client: delivery.subscriber,
-                    client_node: node,
-                    filter: delivery.filter.clone(),
-                    next_seq: delivery.seq,
-                    opened_at: now_micros,
-                });
-                state.counterpart = Some(DeliveryBuffer::new());
-                state.client_node = Some(node);
-                state.next_seq = delivery.seq;
-                state.opened_at = now_micros;
-            }
+            let counterpart = match self.counterparts.entry(key) {
+                Entry::Occupied(slot) => slot.into_mut(),
+                Entry::Vacant(slot) => {
+                    // A subscription that was never observed detaching (e.g.
+                    // installed while the client was already away): open the
+                    // stream on first append.
+                    let node = core
+                        .client(delivery.subscriber)
+                        .map(|r| r.node)
+                        .unwrap_or(NodeId(usize::MAX));
+                    self.log.append(&WalRecord::StreamOpen {
+                        client: delivery.subscriber,
+                        client_node: node,
+                        filter: delivery.filter.clone(),
+                        next_seq: delivery.seq,
+                        opened_at: now_micros,
+                    });
+                    slot.insert(Counterpart {
+                        buffer: DeliveryBuffer::new(),
+                        client_node: node,
+                        next_seq: delivery.seq,
+                        opened_at: now_micros,
+                    })
+                }
+            };
             self.log.append(&WalRecord::Buffered {
                 delivery: delivery.clone(),
             });
-            state
-                .counterpart
-                .as_mut()
-                .expect("counterpart opened above")
-                .push(delivery);
+            counterpart.buffer.push(delivery);
         }
         self.maybe_checkpoint();
     }
@@ -433,37 +434,33 @@ impl RelocationMachine {
             return Vec::new();
         }
         let expired: Vec<StreamKey> = self
-            .streams
+            .counterparts
             .iter()
-            .filter(|(_, s)| {
-                s.counterpart.is_some() && now_micros.saturating_sub(s.opened_at) >= lease_micros
-            })
+            .filter(|(_, c)| now_micros.saturating_sub(c.opened_at) >= lease_micros)
             .map(|(key, _)| key.clone())
             .collect();
         let mut out = Vec::new();
         for key in expired {
-            let (client, filter) = key.clone();
+            let (client, filter) = &key;
             // A client that is connected again is not expired, whatever the
             // lease says (belt and braces: a live counterpart and a
             // connected record should never coexist).
-            if core.client(client).map(|r| r.connected).unwrap_or(false) {
+            if core.client(*client).map(|r| r.connected).unwrap_or(false) {
                 continue;
             }
             self.log.append(&WalRecord::StreamExpired {
-                client,
+                client: *client,
                 filter: filter.clone(),
             });
             let dropped = self
-                .streams
-                .get_mut(&key)
-                .and_then(|s| s.counterpart.take())
-                .map(|b| b.len() as u64)
+                .counterparts
+                .remove(&key)
+                .map(|c| c.buffer.len() as u64)
                 .unwrap_or(0);
-            collect_subscription(core, client, &filter);
+            collect_subscription(core, *client, filter);
             self.leases_expired += 1;
             out.push(Effect::Incr("mobility.lease_expired"));
             out.push(Effect::Add("mobility.lease_dropped_deliveries", dropped));
-            self.gc_stream(&key);
         }
         if !out.is_empty() {
             self.maybe_checkpoint();
@@ -474,7 +471,7 @@ impl RelocationMachine {
     /// Post-processes broker output: deliveries that belong to a relocating
     /// (held) subscription are retained instead of sent.
     pub fn intercept_holding(&mut self, out: Outgoing) -> Outgoing {
-        if self.holding_count == 0 {
+        if self.holdings.is_empty() {
             return out;
         }
         let mut kept = Vec::with_capacity(out.len());
@@ -482,7 +479,7 @@ impl RelocationMachine {
             match message {
                 Message::Deliver(delivery) => {
                     let key = (delivery.subscriber, delivery.filter.clone());
-                    match self.streams.get_mut(&key).and_then(|s| s.holding.as_mut()) {
+                    match self.holdings.get_mut(&key) {
                         Some(holding) => holding.envelopes.push(delivery.envelope),
                         None => kept.push((node, Message::Deliver(delivery))),
                     }
@@ -524,27 +521,18 @@ impl RelocationMachine {
         drop(core.handle_subscribe(client, filter.clone(), from));
 
         let key = (client, filter.clone());
-        let counterpart_here = self
-            .streams
-            .get(&key)
-            .map(|s| s.counterpart.is_some())
-            .unwrap_or(false);
 
         // Case 1: the client reconnected to the very broker that holds its
         // virtual counterpart — replay locally, no relocation needed.
-        if was_local_subscription || counterpart_here {
-            let buffer = self
-                .streams
-                .get_mut(&key)
-                .and_then(|s| s.counterpart.take())
-                .unwrap_or_default();
+        let counterpart = self.counterparts.remove(&key);
+        if was_local_subscription || counterpart.is_some() {
+            let buffer = counterpart.map(|c| c.buffer).unwrap_or_default();
             self.log.append(&WalRecord::RelocationCommit {
                 client,
                 filter: filter.clone(),
                 towards: from,
             });
             self.repoints.insert((filter.clone(), from));
-            self.gc_stream(&key);
             let replay = buffer.replay_after(last_seq);
             let next_seq = replay
                 .iter()
@@ -570,15 +558,15 @@ impl RelocationMachine {
         let tag = self.next_timeout_tag;
         self.next_timeout_tag += 1;
         self.timeout_tags.insert(tag, key.clone());
-        let state = self.streams.entry(key).or_default();
-        state.holding = Some(HoldingState {
-            envelopes: Vec::new(),
-            last_seq,
-            timeout_tag: tag,
-        });
-        state.client_node = Some(from);
-        state.replay_route = Some(from);
-        self.holding_count += 1;
+        self.holdings.insert(
+            key,
+            HoldingState {
+                envelopes: Vec::new(),
+                client_node: from,
+                last_seq,
+                timeout_tag: tag,
+            },
+        );
         out.push(Effect::SetTimer(self.relocation_timeout, tag));
 
         let links = relocation_flood_links(core, &filter, None, self.scoped_flood);
@@ -598,8 +586,9 @@ impl RelocationMachine {
 
     /// Handles a relocation request travelling through the broker network:
     /// replays directly when this broker holds the counterpart, otherwise
-    /// performs the junction test, re-points the delivery path and keeps the
-    /// request flooding.
+    /// performs the junction test, re-points the delivery path, keeps the
+    /// request flooding and records the replay route.
+    #[allow(clippy::too_many_arguments)] // the Relocate fields plus link and clock
     pub fn on_relocate(
         &mut self,
         core: &mut BrokerCore,
@@ -608,28 +597,15 @@ impl RelocationMachine {
         last_seq: u64,
         new_broker: NodeId,
         from: NodeId,
+        now_micros: u64,
     ) -> Vec<Effect> {
         let mut out = Vec::new();
         let key = (client, filter.clone());
 
-        // Remember the way back towards the new border broker for the
-        // replay.  The latest flood wins: following the `from` pointers of
-        // the current relocation always leads back to the new border broker,
-        // whereas a route left over from an *earlier, settled* relocation of
-        // the same stream may point anywhere (the pre-engine broker kept the
-        // first-ever route, which silently misdirected the replay of a
-        // client returning to a previously visited broker).
-        self.streams.entry(key.clone()).or_default().replay_route = Some(from);
-
         // Case 1: this broker is the old border broker itself (it holds the
         // virtual counterpart) — it is its own junction: replay directly
         // and garbage collect.
-        let counterpart_here = self
-            .streams
-            .get(&key)
-            .map(|s| s.counterpart.is_some())
-            .unwrap_or(false);
-        if counterpart_here
+        if self.counterparts.contains_key(&key)
             || (core.client(client).is_some_and(|r| !r.connected)
                 && core.has_local_subscription(client, &filter))
         {
@@ -696,11 +672,18 @@ impl RelocationMachine {
                 },
             ));
         }
+        // A replay can only come back over a link this broker sent the
+        // request on: a dead end (e.g. the old border broker reached again
+        // after it already replayed) needs no route.
+        if !out.is_empty() {
+            self.note_replay_route(key, from, now_micros);
+        }
         out
     }
 
     /// Handles a fetch request travelling down the old delivery path towards
     /// the old border broker.
+    #[allow(clippy::too_many_arguments)] // the Fetch fields plus link and clock
     pub fn on_fetch(
         &mut self,
         core: &mut BrokerCore,
@@ -709,20 +692,13 @@ impl RelocationMachine {
         last_seq: u64,
         junction: NodeId,
         from: NodeId,
+        now_micros: u64,
     ) -> Vec<Effect> {
         let mut out = Vec::new();
         let key = (client, filter.clone());
 
-        // The replay will travel back the way the fetch came.
-        self.streams.entry(key.clone()).or_default().replay_route = Some(from);
-
         // Old border broker: replay and clean up.
-        let counterpart_here = self
-            .streams
-            .get(&key)
-            .map(|s| s.counterpart.is_some())
-            .unwrap_or(false);
-        if counterpart_here || core.has_local_subscription(client, &filter) {
+        if self.counterparts.contains_key(&key) || core.has_local_subscription(client, &filter) {
             out.extend(self.replay_and_collect(core, client, &filter, last_seq, from));
             return out;
         }
@@ -741,6 +717,8 @@ impl RelocationMachine {
             if !core.engine().table().contains_entry(&filter, &from) {
                 core.engine_mut().table_mut().insert(filter.clone(), from);
             }
+            // The replay will travel back the way the fetch came.
+            self.note_replay_route(key, from, now_micros);
             out.push(Effect::Incr("mobility.fetch_forwarded"));
             out.push(Effect::Send(
                 next,
@@ -757,6 +735,50 @@ impl RelocationMachine {
         out
     }
 
+    /// Records the next hop back towards the new border broker.  The latest
+    /// flood wins: following the `from` pointers of the current relocation
+    /// always leads back to the new border broker, whereas a route left
+    /// over from an *earlier* relocation of the same stream may point
+    /// anywhere (a client returning to a previously visited broker).
+    fn note_replay_route(&mut self, key: StreamKey, next_hop: NodeId, now_micros: u64) {
+        self.route_expiry.push_back((now_micros, key.clone()));
+        self.replay_routes.insert(
+            key,
+            ReplayRoute {
+                next_hop,
+                recorded_at: now_micros,
+            },
+        );
+    }
+
+    /// Drops every replay route recorded more than one relocation timeout
+    /// before `now_micros`; the host calls this once per handled event.
+    ///
+    /// Exact, not a heuristic: the new border broker armed its relocation
+    /// timeout before its `Relocate` left, so a replay that would still
+    /// need an expired route can only reach the new border broker after the
+    /// holding was flushed — where it is dropped anyway.  Brokers the scoped
+    /// flood reached off the replay path never see the replay, so without
+    /// this their routes would outlive the relocation.
+    pub fn expire_replay_routes(&mut self, now_micros: u64) {
+        let timeout = self.relocation_timeout.as_micros();
+        while let Some(&(recorded_at, _)) = self.route_expiry.front() {
+            if now_micros.saturating_sub(recorded_at) <= timeout {
+                break;
+            }
+            let (_, key) = self.route_expiry.pop_front().expect("front exists");
+            // A newer flood of the same stream re-recorded the route: that
+            // entry is further back in the queue.
+            if self
+                .replay_routes
+                .get(&key)
+                .is_some_and(|route| route.recorded_at == recorded_at)
+            {
+                self.replay_routes.remove(&key);
+            }
+        }
+    }
+
     /// Replays the virtual counterpart of `(client, filter)` towards
     /// `towards` and garbage collects every resource associated with the
     /// roaming client at this broker.  The commit is logged *before* the
@@ -769,7 +791,6 @@ impl RelocationMachine {
         last_seq: u64,
         towards: NodeId,
     ) -> Vec<Effect> {
-        let key = (client, filter.clone());
         self.log.append(&WalRecord::RelocationCommit {
             client,
             filter: filter.clone(),
@@ -777,9 +798,9 @@ impl RelocationMachine {
         });
         self.repoints.insert((filter.clone(), towards));
         let buffer = self
-            .streams
-            .get_mut(&key)
-            .and_then(|s| s.counterpart.take())
+            .counterparts
+            .remove(&(client, filter.clone()))
+            .map(|c| c.buffer)
             .unwrap_or_default();
         let deliveries = buffer.replay_after(last_seq);
         // The old border broker may itself sit on the path between
@@ -831,9 +852,7 @@ impl RelocationMachine {
 
         // New border broker: merge replayed and held-back notifications in
         // order and release them to the client.
-        let holding = self.streams.get_mut(&key).and_then(|s| s.holding.take());
-        if let Some(holding) = holding {
-            self.holding_count -= 1;
+        if let Some(holding) = self.holdings.remove(&key) {
             // The relocation settled before its timeout: reclaim the guard
             // so the tag map does not grow with every completed relocation.
             self.timeout_tags.remove(&holding.timeout_tag);
@@ -851,10 +870,15 @@ impl RelocationMachine {
                         self.log.append(&WalRecord::Buffered {
                             delivery: delivery.clone(),
                         });
-                        let state = self.streams.entry(key.clone()).or_default();
-                        state
-                            .counterpart
-                            .get_or_insert_with(DeliveryBuffer::new)
+                        self.counterparts
+                            .entry(key.clone())
+                            .or_insert_with(|| Counterpart {
+                                buffer: DeliveryBuffer::new(),
+                                client_node: holding.client_node,
+                                next_seq: 0,
+                                opened_at: 0,
+                            })
+                            .buffer
                             .push(delivery);
                     }
                     self.maybe_checkpoint();
@@ -868,7 +892,7 @@ impl RelocationMachine {
             // second time from the holding buffer (under flooding routing
             // the same notification reaches both the old and the new border
             // broker during the hand-over window).
-            let mut replayed_publications = std::collections::BTreeSet::new();
+            let mut replayed_publications = BTreeSet::new();
             for delivery in deliveries {
                 max_seq = max_seq.max(delivery.seq);
                 replayed_publications
@@ -895,25 +919,17 @@ impl RelocationMachine {
                 });
             }
             out.extend(Message::deliveries(batch).map(|m| Effect::Send(client_node, m)));
-            if let Some(state) = self.streams.get_mut(&key) {
-                state.replay_route = None;
-            }
-            self.gc_stream(&key);
+            self.replay_routes.remove(&key);
             self.maybe_checkpoint();
             return out;
         }
 
         // Intermediate broker: forward along the recorded route.
-        let route = self
-            .streams
-            .get_mut(&key)
-            .and_then(|s| s.replay_route.take());
-        if let Some(next) = route {
-            self.gc_stream(&key);
+        if let Some(route) = self.replay_routes.remove(&key) {
             vec![
                 Effect::Incr("mobility.replay_forwarded"),
                 Effect::Send(
-                    next,
+                    route.next_hop,
                     Message::Replay {
                         client,
                         filter,
@@ -932,41 +948,34 @@ impl RelocationMachine {
         let Some(key) = self.timeout_tags.remove(&tag) else {
             return Vec::new();
         };
-        let holding = self.streams.get_mut(&key).and_then(|s| s.holding.take());
-        let Some(holding) = holding else {
-            self.gc_stream(&key);
+        let Some(holding) = self.holdings.remove(&key) else {
             return Vec::new(); // replay already arrived
         };
-        self.holding_count -= 1;
-        let (client, filter) = key.clone();
+        let (client, filter) = &key;
         self.log.append(&WalRecord::ReplayAck {
-            client,
+            client: *client,
             filter: filter.clone(),
         });
-        let Some(record) = core.client(client) else {
-            self.gc_stream(&key);
+        let Some(record) = core.client(*client) else {
             self.maybe_checkpoint();
             return Vec::new();
         };
         let client_node = record.node;
         let mut out = vec![Effect::Incr("mobility.relocation_timeout")];
         core.sequences_mut()
-            .fast_forward(client, &filter, holding.last_seq.saturating_add(1));
+            .fast_forward(*client, filter, holding.last_seq.saturating_add(1));
         let mut batch = Vec::new();
         for envelope in holding.envelopes {
-            let seq = core.sequences_mut().next(client, &filter);
+            let seq = core.sequences_mut().next(*client, filter);
             batch.push(Delivery {
-                subscriber: client,
+                subscriber: *client,
                 filter: filter.clone(),
                 seq,
                 envelope,
             });
         }
         out.extend(Message::deliveries(batch).map(|m| Effect::Send(client_node, m)));
-        if let Some(state) = self.streams.get_mut(&key) {
-            state.replay_route = None;
-        }
-        self.gc_stream(&key);
+        self.replay_routes.remove(&key);
         self.maybe_checkpoint();
         out
     }
@@ -975,43 +984,31 @@ impl RelocationMachine {
     // Housekeeping
     // ------------------------------------------------------------------
 
-    /// Drops a stream entry whose relocation state is fully reclaimed
-    /// (the Flushed → Local collapse of the state diagram).
-    fn gc_stream(&mut self, key: &StreamKey) {
-        if self
-            .streams
-            .get(key)
-            .map(StreamState::is_empty)
-            .unwrap_or(false)
-        {
-            self.streams.remove(key);
-        }
-    }
-
-    /// Durable snapshot of the machine (what a checkpoint writes).
+    /// Durable snapshot of the machine (what a checkpoint writes):
+    /// counterparts, then holdings, each in stream-key order.
     pub fn snapshot(&self) -> (Vec<StreamSnapshot>, Vec<HoldingSnapshot>) {
-        let mut streams = Vec::new();
-        let mut holdings = Vec::new();
-        for ((client, filter), state) in &self.streams {
-            if let Some(buffer) = &state.counterpart {
-                streams.push(StreamSnapshot {
-                    client: *client,
-                    client_node: state.client_node.unwrap_or(NodeId(usize::MAX)),
-                    filter: filter.clone(),
-                    next_seq: state.next_seq,
-                    opened_at: state.opened_at,
-                    buffered: buffer.replay_after(0),
-                });
-            }
-            if let Some(holding) = &state.holding {
-                holdings.push(HoldingSnapshot {
-                    client: *client,
-                    client_node: state.client_node.unwrap_or(NodeId(usize::MAX)),
-                    filter: filter.clone(),
-                    last_seq: holding.last_seq,
-                });
-            }
-        }
+        let streams = self
+            .counterparts
+            .iter()
+            .map(|((client, filter), c)| StreamSnapshot {
+                client: *client,
+                client_node: c.client_node,
+                filter: filter.clone(),
+                next_seq: c.next_seq,
+                opened_at: c.opened_at,
+                buffered: c.buffer.replay_after(0),
+            })
+            .collect();
+        let holdings = self
+            .holdings
+            .iter()
+            .map(|((client, filter), h)| HoldingSnapshot {
+                client: *client,
+                client_node: h.client_node,
+                filter: filter.clone(),
+                last_seq: h.last_seq,
+            })
+            .collect();
         (streams, holdings)
     }
 
@@ -1248,6 +1245,57 @@ mod tests {
     }
 
     #[test]
+    fn replay_routes_expire_strictly_after_the_timeout_unless_re_recorded() {
+        let mut core = core();
+        let mut m = RelocationMachine::new(SimDuration::from_micros(100), HandoffLog::in_memory());
+        let (c1, c2) = (ClientId::new(1), ClientId::new(2));
+        let awaiting =
+            |m: &RelocationMachine, c| m.phase(c, &filter()) == RelocationPhase::AwaitingReplay;
+        // Link 10 brings the Relocate, link 11 takes it on: routes noted.
+        m.on_relocate(&mut core, c1, filter(), 0, NodeId(10), NodeId(10), 0);
+        m.on_relocate(&mut core, c2, filter(), 0, NodeId(10), NodeId(10), 50);
+        // A later flood of c1 re-records its route.
+        m.on_relocate(&mut core, c1, filter(), 0, NodeId(10), NodeId(10), 60);
+
+        m.expire_replay_routes(100);
+        m.expire_replay_routes(101);
+        assert!(
+            awaiting(&m, c1),
+            "re-recorded at 60, not expired by the entry of 0"
+        );
+        assert!(awaiting(&m, c2), "exactly one timeout old is not expired");
+        m.expire_replay_routes(151);
+        assert!(awaiting(&m, c1));
+        assert!(!awaiting(&m, c2));
+        m.expire_replay_routes(161);
+        assert!(!awaiting(&m, c1));
+
+        // The old border broker replays straight back: no route.
+        let c3 = ClientId::new(3);
+        core.handle_attach(c3, NodeId(100));
+        core.handle_subscribe(c3, filter(), NodeId(100));
+        core.handle_detach(c3);
+        m.on_detach(&core, c3, 200);
+        let effects = m.on_relocate(&mut core, c3, filter(), 0, NodeId(10), NodeId(10), 200);
+        assert!(matches!(
+            sends(&effects)[..],
+            [(NodeId(10), Message::Replay { .. })]
+        ));
+        assert_eq!(m.phase(c3, &filter()), RelocationPhase::Local);
+
+        // A dead end (no link to pass the request on) records none either.
+        let mut leaf = BrokerCore::new(
+            NodeId(0),
+            BrokerRole::Border,
+            vec![NodeId(10)],
+            RoutingStrategyKind::Covering,
+        );
+        let effects = m.on_relocate(&mut leaf, c1, filter(), 0, NodeId(10), NodeId(10), 300);
+        assert!(sends(&effects).is_empty());
+        assert_eq!(m.phase(c1, &filter()), RelocationPhase::Local);
+    }
+
+    #[test]
     fn recover_rebuilds_counterparts_and_core_state() {
         let backend = crate::log::MemoryBackend::new();
         let mut core1 = core();
@@ -1303,6 +1351,7 @@ mod tests {
             0,
             NodeId(10),
             NodeId(10),
+            0,
         );
         // Enough later activity (a second detaching client) to trigger a
         // compaction checkpoint *after* the commit record.
