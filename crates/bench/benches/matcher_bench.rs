@@ -149,8 +149,7 @@ fn bench_matching_zipf(c: &mut Criterion) {
 }
 
 /// Covering queries: "is this new subscription already covered?" — the
-/// decision `FilterSet::insert_covering` and `RoutingTable::is_covered`
-/// make on every subscription.  Measured for probes that are covered (the
+/// decision `FilterSet::insert_covering` makes on every subscription.  Measured for probes that are covered (the
 /// linear scan usually early-exits) and for probes that are not (the linear
 /// scan must visit every filter; the index walk visits one constraint-level
 /// test per *distinct* predicate).
@@ -199,7 +198,7 @@ fn bench_covering(c: &mut Criterion) {
 /// strictly-narrower variants of stored filters, so every probe is covered
 /// by a non-identical stored filter and the index must walk its covering
 /// path, not the identity fast path.  The linear side scans the full
-/// per-subscription population (what `RoutingTable::is_covered` cost
+/// per-subscription population (what a routing-table covering query cost
 /// before subgrouping); the indexed side holds one key per *distinct*
 /// filter, exactly the compaction `RoutingTable` subgrouping gives the
 /// predicate index.  This is the group `scripts/bench_gate.py` holds to a

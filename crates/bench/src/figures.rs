@@ -502,6 +502,9 @@ mod tests {
         assert!(report.junctions_detected >= 1, "at least the B4 junction");
         assert!(report.replayed > 0, "the counterpart must replay something");
         assert!(report.old_broker_clean);
+        // Deterministic: the walk-through including the teardown of the old
+        // delivery path, which travels behind the replay.
+        assert_eq!(report.total_messages, 298);
     }
 
     #[test]

@@ -192,12 +192,6 @@ impl BrokerCore {
         &self.engine
     }
 
-    /// Mutable access to the routing engine (used by the relocation protocol
-    /// to re-point delivery paths).
-    pub fn engine_mut(&mut self) -> &mut RoutingEngine<NodeId> {
-        &mut self.engine
-    }
-
     /// Read access to the per-`(client, filter)` sequence registry.
     pub fn sequences(&self) -> &SequenceRegistry {
         &self.seq
@@ -264,34 +258,43 @@ impl BrokerCore {
         }
     }
 
-    /// Restores a subscription of an attached client without propagating
-    /// it (crash recovery re-creates what the log says was there): the
-    /// client holds `filter` afterwards — appended to its subscriptions
-    /// unless already held — and the routing table holds an entry
-    /// `(filter, client's node)`, added only when none exists.  Does
-    /// nothing for a client that is not attached.
+    /// Installs a subscription of an attached client without propagating
+    /// it (crash recovery re-creates what the log says was there; a
+    /// relocation's `Relocate` is its propagation): the client holds
+    /// `filter` afterwards — appended to its subscriptions unless already
+    /// held — and the routing table routes `filter` towards the client's
+    /// node, with one entry however often this is called (see
+    /// [`BrokerCore::route_towards`]).  Does nothing for a client that is
+    /// not attached.
     pub fn subscribe_local(&mut self, client: ClientId, filter: Filter) {
         let Some(node) = self.clients.get(&client).map(|r| r.node) else {
             return;
         };
         self.insert_local(client, &filter);
-        if !self.engine.table().contains_entry(&filter, &node) {
-            self.engine.table_mut().insert(filter, node);
-        }
+        self.route_towards(filter, node);
     }
 
-    /// Drops a subscription of a local client without propagating
-    /// anything (garbage collection after a relocation or an expired
-    /// lease): removes `filter` from the client's subscriptions and one
-    /// routing entry `(filter, client's node)`.  The sequence state stays;
-    /// see [`SequenceRegistry::remove`].  Does nothing for a client that
-    /// is not attached.
-    pub fn unsubscribe_local(&mut self, client: ClientId, filter: &Filter) {
-        let Some(node) = self.clients.get(&client).map(|r| r.node) else {
-            return;
+    /// Routes `filter` towards `towards` as a subscription arriving from
+    /// `towards` would — through [`RoutingEngine::handle_subscribe`], so the
+    /// table's refcounts and the per-link propagation state describe it —
+    /// but sends nothing: the caller's own message (a relocation's
+    /// `Relocate` or `Fetch`) is the propagation, and crash recovery has
+    /// none.  Skipped when the table already routes it there: an identical
+    /// entry or, from a neighbouring broker, what
+    /// [`RoutingEngine::routes_from`] counts.  A local client's node gets
+    /// no such shortcut: its subscriptions are retracted one by one.
+    pub fn route_towards(&mut self, filter: Filter, towards: NodeId) {
+        let routed = if self.broker_links.contains(&towards) {
+            self.engine.routes_from(&filter, &towards)
+        } else {
+            self.engine.table().contains_entry(&filter, &towards)
         };
-        self.engine.table_mut().remove(filter, &node);
-        self.local.remove(filter, &client);
+        if !routed {
+            drop(
+                self.engine
+                    .handle_subscribe(filter, towards, &self.broker_links),
+            );
+        }
     }
 
     /// [`BrokerCore::handle_subscribe`] without the propagation decision,
@@ -937,6 +940,31 @@ mod tests {
             }
         }
         assert_eq!(stripped, plain_out);
+    }
+
+    #[test]
+    fn route_towards_adds_one_silent_entry_unless_already_routed() {
+        let mut b = broker();
+        let wide = Filter::new().with("service", Constraint::Exists);
+        b.handle_subscribe(ClientId::new(5), wide.clone(), NodeId(10));
+        // Covered by what link 10 already sent: nothing to add.
+        b.route_towards(parking(), NodeId(10));
+        assert_eq!(b.engine().table_size(), 1);
+        // Towards link 11 it is new; repeating it adds nothing more.
+        b.route_towards(parking(), NodeId(11));
+        b.route_towards(parking(), NodeId(11));
+        assert_eq!(b.engine().table_size(), 2);
+        // A cover towards a local client's node stands in for nothing, and
+        // installing a held subscription again adds no second entry.
+        b.handle_attach(ClientId::new(1), NodeId(100));
+        b.subscribe_local(ClientId::new(1), wide.clone());
+        b.subscribe_local(ClientId::new(1), parking());
+        b.subscribe_local(ClientId::new(1), parking());
+        assert_eq!(b.engine().table_size(), 4);
+        assert_eq!(
+            b.local_subscriptions(ClientId::new(1)),
+            vec![&wide, &parking()]
+        );
     }
 
     #[test]

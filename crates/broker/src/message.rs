@@ -140,8 +140,9 @@ pub enum Message {
     },
     /// The fetch request sent by the junction broker along the *old* path
     /// towards the old border broker (`(C, F, 123, B4)` in the paper).
-    /// Brokers on the old path re-point their routing entries towards the
-    /// junction while forwarding it.
+    /// Brokers on the old path route the filter towards the junction while
+    /// forwarding it; their old entries go with the `Unsubscribe`s the old
+    /// border broker sends behind its replay.
     Fetch {
         /// The roaming client.
         client: ClientId,

@@ -262,21 +262,28 @@ proptest! {
                     Vec::new()
                 }
                 Op::RelocationGc(client, filter) => {
-                    if oracle.clients.contains_key(&client) {
-                        oracle.unsubscribe(client, &filter);
+                    // An ordinary unsubscription from the client's node,
+                    // then its sequence state and, once bare, its record.
+                    if let Some(node) = oracle.clients.get(&client).map(|r| r.node) {
+                        if let Some(owner) = oracle.client_by_node(node) {
+                            oracle.unsubscribe(owner, &filter);
+                        }
                         oracle.seq.remove(&(client, filter.clone()));
                         if oracle.clients[&client].subscriptions.is_empty() {
                             oracle.remove_client(client);
                         }
                     }
-                    if broker.client(client).is_some() {
-                        broker.unsubscribe_local(client, &filter);
-                        broker.sequences_mut().remove(client, &filter);
-                        if broker.local_subscriptions(client).is_empty() {
-                            broker.remove_client(client);
+                    match broker.client(client).map(|r| r.node) {
+                        Some(node) => {
+                            let out = broker.handle_unsubscribe(client, filter.clone(), node);
+                            broker.sequences_mut().remove(client, &filter);
+                            if broker.local_subscriptions(client).is_empty() {
+                                broker.remove_client(client);
+                            }
+                            out
                         }
+                        None => Vec::new(),
                     }
-                    Vec::new()
                 }
                 Op::Restore(client, filter) => {
                     oracle.subscribe(client, &filter);

@@ -51,13 +51,13 @@ use rebeca_broker::{
 use rebeca_filter::{Filter, LocationDependentFilter};
 use rebeca_location::{AdaptivityPlan, LocationId, MovementGraph};
 use rebeca_mobility::{
-    Effect, HandoffLog, PersistenceConfig, RelocationMachine, RelocationPhase,
+    Effect, HandoffLog, PersistenceConfig, RelocationMachine, RelocationPhase, ReplayRoutes,
     DEFAULT_CHECKPOINT_EVERY,
 };
 use rebeca_obs::SpanRecord;
 use rebeca_retain::{RetentionConfig, RetentionStore};
 use rebeca_routing::RoutingStrategyKind;
-use rebeca_sim::{Context, Incoming, Node, NodeId, SimDuration, SimTime};
+use rebeca_sim::{Context, Incoming, Metrics, Node, NodeId, SimDuration, SimTime};
 
 /// Histogram name under which relocation hand-off latencies (ReSubscribe
 /// hold to replay settle, in microseconds) are recorded.
@@ -256,20 +256,19 @@ pub struct MobileBroker {
     wal_appends_seen: u64,
     /// WAL checkpoint count at the last observation.
     wal_checkpoints_seen: u64,
-    /// Set by [`MobileBroker::recover`]; the first handled event journals
-    /// it as a `wal.recovered` event, plus `retain.reset` when retention is
-    /// configured (a restarted node has no live metrics context at
-    /// construction time).
-    recovery_note: Option<String>,
     /// Retained publications of this broker's local publishers
     /// (`None` when [`BrokerConfig::retention`] is unset).
     retention: Option<RetentionStore>,
     /// Open history sessions at this (border) broker, keyed by stream.
     history_sessions: BTreeMap<(ClientId, Filter), HistorySession>,
     /// Reverse-path pointers for history replays travelling back to the
-    /// border broker that flooded the fetch (mirrors the relocation
-    /// machine's replay routes; latest fetch wins).
-    history_routes: BTreeMap<(ClientId, Filter), NodeId>,
+    /// border broker that flooded the fetch (latest fetch wins).  Each
+    /// goes with the first event handled more than one gather timeout
+    /// after it was recorded: the origin armed its gather timeout before
+    /// its fetch left, so a replay still needing an expired route would
+    /// reach the origin after its session closed, where it is dropped
+    /// anyway.
+    history_routes: ReplayRoutes<(ClientId, Filter)>,
     /// Next history gather-timer tag (counts up from
     /// [`HISTORY_TIMER_BASE`]).
     next_history_tag: u64,
@@ -313,7 +312,7 @@ impl MobileBroker {
     ) -> Self {
         let machine = RelocationMachine::new(config.relocation_timeout, log);
         let core = BrokerCore::new(id, role, broker_links, config.strategy);
-        Self::assemble(core, machine, config, None)
+        Self::assemble(core, machine, config)
     }
 
     /// Restarts a broker from its write-ahead handoff log: the machine and
@@ -331,16 +330,32 @@ impl MobileBroker {
     ) -> (Self, Vec<u64>) {
         let mut core = BrokerCore::new(id, role, broker_links, config.strategy);
         let (machine, tags) = RelocationMachine::recover(config.relocation_timeout, log, &mut core);
-        let recovery_note = format!(
-            "broker={id} generation={} wal_depth={} rearmed_holdings={}",
-            machine.generation(),
-            machine.log().depth(),
-            tags.len()
+        (Self::assemble(core, machine, config), tags)
+    }
+
+    /// Journals this broker's restart at `now`: counts `wal.recoveries`,
+    /// records a `wal.recovered` event and, when retention is configured,
+    /// counts and journals `retain.reset` — the retained history did not
+    /// survive the restart, and saying so beats a silent gap in
+    /// `subscribe_since`.  Whoever restarts the broker calls this at the
+    /// restart (a restarted node has no metrics context of its own until a
+    /// message reaches it, and none may ever reach it).
+    pub(crate) fn note_recovery(&self, metrics: &mut Metrics, now: SimTime) {
+        let broker = self.core.id();
+        metrics.incr("wal.recoveries");
+        let note = format!(
+            "broker={broker} generation={} wal_depth={} rearmed_holdings={}",
+            self.machine.generation(),
+            self.machine.log().depth(),
+            self.machine.pending_relocations()
         );
-        (
-            Self::assemble(core, machine, config, Some(recovery_note)),
-            tags,
-        )
+        metrics.record_event(now, "wal.recovered", note);
+        if self.retention.is_some() {
+            metrics.incr("retain.reset_on_recovery");
+            if metrics.journal_enabled() {
+                metrics.record_event(now, "retain.reset", format!("broker={broker}"));
+            }
+        }
     }
 
     /// Builds a broker around a static core and a relocation machine, fresh
@@ -349,15 +364,14 @@ impl MobileBroker {
         mut core: BrokerCore,
         mut machine: RelocationMachine,
         config: BrokerConfig,
-        recovery_note: Option<String>,
     ) -> Self {
         machine.set_scoped_flood(config.scoped_relocation);
         let wal_appends_seen = machine.log().appends_total();
         let wal_checkpoints_seen = machine.log().checkpoints_total();
         // Retention is in-memory per incarnation: a restarted broker comes
         // back with an empty store (the WAL covers counterpart streams, not
-        // retained history — a documented scope bound).  `note_wal` reports
-        // the reset on the first handled event.
+        // retained history — a documented scope bound).
+        // `MobileBroker::note_recovery` reports the reset.
         let retention = config.retention.clone().map(RetentionStore::new);
         core.set_record_published(retention.is_some());
         core.set_trace_sampling(config.trace_sample_per_64k);
@@ -370,10 +384,9 @@ impl MobileBroker {
             last_checkpoint_at: None,
             wal_appends_seen,
             wal_checkpoints_seen,
-            recovery_note,
             retention,
             history_sessions: BTreeMap::new(),
-            history_routes: BTreeMap::new(),
+            history_routes: ReplayRoutes::default(),
             next_history_tag: HISTORY_TIMER_BASE,
             history_tags: BTreeMap::new(),
             lease_sweep_armed: false,
@@ -497,6 +510,13 @@ impl MobileBroker {
         self.history_sessions.len()
     }
 
+    /// Number of reverse-path pointers this broker keeps for history
+    /// replays in flight; each goes with the first event handled more than
+    /// one gather timeout after its fetch passed.
+    pub fn history_route_count(&self) -> usize {
+        self.history_routes.len()
+    }
+
     // ------------------------------------------------------------------
     // Observability
     // ------------------------------------------------------------------
@@ -598,25 +618,10 @@ impl MobileBroker {
     }
 
     /// Diffs the WAL's lifetime counters against the last observation and
-    /// journals `wal.append` / `wal.checkpoint` / `wal.recovered` (and
-    /// `retain.reset`) events.
+    /// journals `wal.append` / `wal.checkpoint` events.
     /// Called once per handled event: the steady-state cost is two integer
     /// compares, so the notification hot path stays flat.
     fn note_wal(&mut self, ctx: &mut Context<'_, Message>) {
-        if let Some(note) = self.recovery_note.take() {
-            ctx.metrics().incr("wal.recoveries");
-            let now = ctx.now();
-            ctx.metrics().record_event(now, "wal.recovered", note);
-            if self.retention.is_some() {
-                // The retained history did not survive the restart; say so
-                // instead of letting `subscribe_since` return a silent gap.
-                ctx.metrics().incr("retain.reset_on_recovery");
-                if ctx.metrics().journal_enabled() {
-                    let detail = format!("broker={}", ctx.self_id());
-                    ctx.metrics().record_event(now, "retain.reset", detail);
-                }
-            }
-        }
         let appends = self.machine.log().appends_total();
         if appends != self.wal_appends_seen {
             let grew = appends - self.wal_appends_seen;
@@ -1120,7 +1125,8 @@ impl MobileBroker {
         from: NodeId,
         ctx: &mut Context<'_, Message>,
     ) -> Vec<(NodeId, Message)> {
-        self.history_routes.insert((client, filter.clone()), from);
+        self.history_routes
+            .record((client, filter.clone()), from, ctx.now().as_micros());
         let mut out = Vec::new();
         let entries = self.retained_slice(since_micros, &filter);
         if !entries.is_empty() {
@@ -1166,7 +1172,7 @@ impl MobileBroker {
                 .add("retain.replay_absorbed", entries.len() as u64);
             session.entries.extend(entries);
             Vec::new()
-        } else if let Some(&next) = self.history_routes.get(&key) {
+        } else if let Some(next) = self.history_routes.next_hop(&key) {
             vec![(
                 next,
                 Message::HistoryReplay {
@@ -1359,7 +1365,10 @@ impl Node for MobileBroker {
     type Message = Message;
 
     fn handle(&mut self, ctx: &mut Context<'_, Message>, event: Incoming<Message>) {
-        self.machine.expire_replay_routes(ctx.now().as_micros());
+        let now = ctx.now().as_micros();
+        self.machine.expire_replay_routes(now);
+        self.history_routes
+            .expire(now, self.config.relocation_timeout.as_micros());
         let mut out = Vec::new();
         match event {
             Incoming::Timer {

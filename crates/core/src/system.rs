@@ -505,6 +505,8 @@ impl MobilitySystem {
             .checkpoint_every(config.wal_checkpoint_every);
         let relocation_timeout = config.relocation_timeout;
         let (restarted, recovered_tags) = MobileBroker::recover(node_id, role, links, config, log);
+        let now = self.driver.now();
+        restarted.note_recovery(self.driver.metrics_mut(), now);
         let old = match self
             .driver
             .replace_node(node_id, SystemNode::Broker(restarted))
@@ -512,7 +514,7 @@ impl MobilitySystem {
             SystemNode::Broker(b) => b,
             SystemNode::Client(_) => unreachable!("broker index maps to a broker node"),
         };
-        let rearm_at = self.driver.now() + relocation_timeout;
+        let rearm_at = now + relocation_timeout;
         for tag in recovered_tags {
             self.driver.schedule_timer(node_id, rearm_at, tag);
         }

@@ -18,7 +18,7 @@ use rebeca_core::{BrokerConfig, MobilitySystem, SystemBuilder};
 use rebeca_filter::{Constraint, Filter, Notification};
 use rebeca_location::MovementGraph;
 use rebeca_routing::RoutingStrategyKind;
-use rebeca_sim::{DelayModel, SimDuration, Topology};
+use rebeca_sim::{DelayModel, SimDuration, SimTime, Topology};
 
 const CONSUMER: ClientId = ClientId::new(1);
 const PRODUCER: ClientId = ClientId::new(2);
@@ -189,5 +189,36 @@ fn crash_restart_under_traffic_is_visible_in_status_and_stays_exactly_once() {
         "\"last_heartbeat_age_ms\"",
     ] {
         assert!(json.contains(field), "JSON misses {field}: {json}");
+    }
+}
+
+/// A broker no message ever reaches journals its restart anyway: the
+/// recovery is recorded when it happens, not on the first event handled
+/// after it, and a broker with retention says its history was reset.
+#[test]
+fn a_restart_is_journaled_even_when_no_message_reaches_the_broker() {
+    let mut sys = SystemBuilder::new(&Topology::line(3))
+        .config(BrokerConfig::default().with_retention(Some(Default::default())))
+        .seed(7)
+        .build()
+        .expect("sim system builds");
+    sys.run_until(SimTime::from_millis(100));
+    sys.crash_and_restart_broker(2).expect("broker 2 restarts");
+
+    let metrics = sys.metrics();
+    assert_eq!(metrics.counter("wal.recoveries"), 1);
+    assert_eq!(metrics.counter("retain.reset_on_recovery"), 1);
+    let journal: Vec<(String, String)> = metrics
+        .journal()
+        .events()
+        .map(|e| (e.kind.clone(), e.detail.clone()))
+        .collect();
+    for kind in ["wal.recovered", "retain.reset"] {
+        assert!(
+            journal
+                .iter()
+                .any(|(k, d)| k == kind && d.starts_with("broker=n2")),
+            "{kind} journaled at the restart: {journal:?}"
+        );
     }
 }

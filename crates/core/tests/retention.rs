@@ -369,3 +369,36 @@ fn recovery_reports_the_retention_reset() {
         assert_eq!(m.counter("wal.recoveries"), 1, "the broker did recover");
     }
 }
+
+/// History routes go with the gather timeout: the brokers a
+/// `subscribe_since` fetch passed keep their reverse-path pointer only
+/// until the first event they handle more than one gather timeout later.
+#[test]
+fn history_routes_expire_with_the_gather_timeout() {
+    let mut sys = retention_system(retention_config());
+    let consumer = sys.connect(CONSUMER, 0).expect("consumer connects");
+    let producer = sys.connect(PRODUCER, 2).expect("producer connects");
+    sys.run_until(SimTime::from_millis(100));
+    consumer
+        .subscribe_since(&mut sys, parking_filter(), 0)
+        .expect("subscribe_since");
+    sys.run_until(SimTime::from_millis(200));
+    let routes = |sys: &MobilitySystem| -> Vec<usize> {
+        (0..3)
+            .map(|b| sys.broker(b).unwrap().history_route_count())
+            .collect()
+    };
+    assert_eq!(routes(&sys), vec![0, 1, 1], "the fetch passed 1 and 2");
+
+    // The 1 s gather timeout passes without traffic: nothing expires yet.
+    sys.run_until(SimTime::from_millis(1_500));
+    assert_eq!(routes(&sys), vec![0, 1, 1]);
+    assert_eq!(sys.broker(0).unwrap().open_history_sessions(), 0);
+
+    // One more event at every broker: a publication from broker 2 reaches
+    // the consumer at broker 0 through broker 1.
+    producer.publish(&mut sys, vacancy(1)).expect("publish");
+    sys.run_until(SimTime::from_millis(1_600));
+    assert_eq!(routes(&sys), vec![0, 0, 0]);
+    assert_eq!(sys.client_log(CONSUMER).unwrap().len(), 1);
+}

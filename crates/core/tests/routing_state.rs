@@ -2,21 +2,25 @@
 //! notifications per publication and in entries per broker.
 //!
 //! A 4-broker line with 5 ms links, the producer at broker 3 and one
-//! consumer subscribing at broker 0. The asserted values are **two known
-//! bugs**, pinned under Simple, Identity, Covering and Merging routing so
-//! that the change fixing them has to flip these asserts (ROADMAP direction
-//! 13):
+//! consumer subscribing at broker 0, under Simple, Identity, Covering and
+//! Merging routing. A relocation leaves the tables an unsubscription at the
+//! old broker plus a subscription at the new one would: the old border
+//! broker retracts the departed client's subscription through the routing
+//! engine, and the `Unsubscribe`s travel behind its replay.
 //!
-//! - After the consumer's `move_to(2)`, every publication still crosses all
-//!   3 broker links, where 1 (broker 3 → 2) is enough: the relocation never
-//!   tears down the old delivery path (ROADMAP Finding 6).
-//! - After the moved consumer unsubscribes, every broker keeps one entry
-//!   (`[1, 1, 1, 1]`) and every later matching publication still crosses 3
-//!   links to nobody (ROADMAP Finding 7). The same unsubscription without
-//!   the move leaves `[0, 0, 0, 0]` and sends nothing, which is the control.
+//! - After the consumer's `move_to(2)`, every publication crosses 1 broker
+//!   link (3 → 2), not the 3 of the old path (ROADMAP Finding 6).
+//! - After the moved consumer unsubscribes, every table is empty
+//!   (`[0, 0, 0, 0]`) and a matching publication crosses no link (Finding
+//!   7). The same unsubscription without the move is the control.
+//! - A consumer that detaches and never returns is reaped when its
+//!   counterpart lease expires, and its delivery path goes with it.
+//! - A consumer that detaches and returns to the same broker keeps one
+//!   entry per subscription, so its unsubscription still clears the
+//!   network.
 
 use rebeca_broker::ClientId;
-use rebeca_core::{MobilitySystem, Session, SystemBuilder};
+use rebeca_core::{BrokerConfig, MobilitySystem, Session, SystemBuilder};
 use rebeca_filter::{Constraint, Filter, Notification};
 use rebeca_routing::RoutingStrategyKind;
 use rebeca_sim::{DelayModel, SimDuration, Topology};
@@ -102,14 +106,14 @@ const STRATEGIES: [RoutingStrategyKind; 4] = [
 ];
 
 #[test]
-fn a_relocation_leaves_the_old_path_and_stale_entries_behind() {
+fn a_relocation_tears_down_the_old_path_and_leaves_no_stale_entries() {
     for strategy in STRATEGIES {
         let (subscribed, entries, unsubscribed) = run(strategy, true);
-        // Bug (Finding 6): the ideal is 1.00, broker 3 → broker 2 only.
-        assert_eq!(subscribed, 3.0, "{strategy:?}");
-        // Bug (Finding 7): the ideal is [0, 0, 0, 0] and 0.00.
-        assert_eq!(entries, vec![1, 1, 1, 1], "{strategy:?}");
-        assert_eq!(unsubscribed, 3.0, "{strategy:?}");
+        // Finding 6: broker 3 → broker 2 only.
+        assert_eq!(subscribed, 1.0, "{strategy:?}");
+        // Finding 7: the unsubscription clears the network.
+        assert_eq!(entries, vec![0, 0, 0, 0], "{strategy:?}");
+        assert_eq!(unsubscribed, 0.0, "{strategy:?}");
     }
 }
 
@@ -120,5 +124,73 @@ fn without_a_relocation_an_unsubscription_clears_the_network() {
         assert_eq!(subscribed, 3.0, "{strategy:?}");
         assert_eq!(entries, vec![0, 0, 0, 0], "{strategy:?}");
         assert_eq!(unsubscribed, 0.0, "{strategy:?}");
+    }
+}
+
+/// The consumer detaches at broker 0 and never returns: once the 200 ms
+/// counterpart lease expires, broker 0 reaps the counterpart and retracts
+/// the subscription like an unsubscription, so no table keeps an entry and
+/// no publication from broker 3 crosses a link to nobody.
+#[test]
+fn an_expired_lease_tears_down_the_abandoned_delivery_path() {
+    for strategy in STRATEGIES {
+        let config =
+            BrokerConfig::default().with_counterpart_lease(Some(SimDuration::from_millis(200)));
+        let mut sys = SystemBuilder::new(&Topology::line(4))
+            .config(config)
+            .strategy(strategy)
+            .link_delay(DelayModel::constant_millis(5))
+            .seed(1)
+            .build()
+            .unwrap();
+        let consumer = sys.connect(ClientId::new(1), 0).unwrap();
+        let producer = sys.connect(ClientId::new(2), 3).unwrap();
+        consumer.subscribe(&mut sys, parking()).unwrap();
+        settle(&mut sys);
+        assert_eq!(routing_entries(&sys), vec![1, 1, 1, 1], "{strategy:?}");
+
+        consumer.detach(&mut sys).unwrap();
+        settle(&mut sys);
+        assert_eq!(sys.broker(0).unwrap().expired_leases(), 1, "{strategy:?}");
+        assert_eq!(routing_entries(&sys), vec![0, 0, 0, 0], "{strategy:?}");
+        let abandoned = link_notifications_per_publication(&mut sys, producer, 0);
+        assert_eq!(abandoned, 0.0, "{strategy:?}");
+    }
+}
+
+/// The consumer detaches and comes back to the broker that still holds its
+/// subscription: the relocation replays locally and must not add a second
+/// entry for the same subscription, so the later unsubscription still
+/// clears the network.
+#[test]
+fn a_return_to_the_same_broker_leaves_one_entry_per_subscription() {
+    for strategy in STRATEGIES {
+        let mut sys = SystemBuilder::new(&Topology::line(4))
+            .strategy(strategy)
+            .link_delay(DelayModel::constant_millis(5))
+            .seed(1)
+            .build()
+            .unwrap();
+        let consumer = sys.connect(ClientId::new(1), 0).unwrap();
+        let producer = sys.connect(ClientId::new(2), 3).unwrap();
+        consumer.subscribe(&mut sys, parking()).unwrap();
+        settle(&mut sys);
+        consumer.detach(&mut sys).unwrap();
+        settle(&mut sys);
+        consumer.move_to(&mut sys, 0).unwrap();
+        settle(&mut sys);
+        assert_eq!(routing_entries(&sys), vec![1, 1, 1, 1], "{strategy:?}");
+        assert_eq!(
+            link_notifications_per_publication(&mut sys, producer, 0),
+            3.0,
+            "{strategy:?}"
+        );
+
+        consumer.unsubscribe(&mut sys, parking()).unwrap();
+        settle(&mut sys);
+        assert_eq!(routing_entries(&sys), vec![0, 0, 0, 0], "{strategy:?}");
+        let log = consumer.log(&sys).unwrap();
+        assert_eq!(log.len() as u64, PUBLICATIONS, "{strategy:?}");
+        assert!(log.is_clean(), "{strategy:?}");
     }
 }

@@ -43,12 +43,14 @@
 pub mod codec;
 mod log;
 mod machine;
+mod routes;
 
 pub use log::{
     FileBackend, HandoffLog, HoldingSnapshot, LogBackend, MemoryBackend, RecoveredState,
     StreamSnapshot, WalRecord, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use machine::{Effect, RelocationMachine, RelocationPhase, StreamKey};
+pub use routes::ReplayRoutes;
 
 /// Where a deployment persists its per-broker handoff logs.
 #[derive(Debug, Clone, Default)]

@@ -40,8 +40,22 @@
 //! * **Local** — everything else, including a disconnected stream at the
 //!   *old* border broker whose virtual counterpart buffers in place of the
 //!   client.
+//!
+//! # Routing state
+//!
+//! The machine writes the routing table only through the broker's
+//! [`RoutingEngine`](rebeca_routing::RoutingEngine), so a move leaves the
+//! table "unsubscribe at the old border broker, subscribe at the new one"
+//! would leave.  Every broker a `Relocate` or `Fetch` passes routes the
+//! filter back the way it came ([`BrokerCore::route_towards`]): the request
+//! is the subscription's propagation.  The old border broker sends its
+//! `Replay`, then retracts the departed client's subscription with an
+//! ordinary unsubscription, whose `Unsubscribe`s tear the old path down
+//! FIFO behind the replay (an expired lease does the same).  Commit
+//! re-points are journaled and re-installed on recovery, until a restarted
+//! broker can re-learn its entries from its neighbours.
 
-use std::collections::{btree_map::Entry, BTreeMap, BTreeSet, VecDeque};
+use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
 
 use rebeca_broker::{BrokerCore, ClientId, Delivery, DeliveryBuffer, Envelope, Message, Outgoing};
 use rebeca_filter::Filter;
@@ -49,6 +63,7 @@ use rebeca_routing::RoutingStrategyKind;
 use rebeca_sim::{NodeId, SimDuration};
 
 use crate::log::{HandoffLog, HoldingSnapshot, StreamSnapshot, WalRecord};
+use crate::routes::ReplayRoutes;
 
 /// Identity of one relocatable subscription stream.
 pub type StreamKey = (ClientId, Filter);
@@ -109,24 +124,17 @@ struct HoldingState {
     timeout_tag: u64,
 }
 
-/// Next hop for a replay travelling back towards the new border broker.
-#[derive(Debug, Clone, Copy)]
-struct ReplayRoute {
-    next_hop: NodeId,
-    /// Broker time (microseconds) the route was recorded at.
-    recorded_at: u64,
-}
-
 /// The relocation protocol engine: explicit transitions over per-stream
 /// states, write-ahead logging, and effect-based output.
 #[derive(Debug, Clone)]
 pub struct RelocationMachine {
     counterparts: BTreeMap<StreamKey, Counterpart>,
     holdings: BTreeMap<StreamKey, HoldingState>,
-    replay_routes: BTreeMap<StreamKey, ReplayRoute>,
-    /// Every recorded replay route as `(recorded_at, key)`, oldest first;
-    /// [`RelocationMachine::expire_replay_routes`] pops from the front.
-    route_expiry: VecDeque<(u64, StreamKey)>,
+    /// The next hop back towards the new border broker.  The latest flood
+    /// wins: its `from` pointers always lead back to the new border broker,
+    /// whereas a route left from an earlier relocation of the same stream
+    /// may point anywhere (a client returning to a visited broker).
+    replay_routes: ReplayRoutes<StreamKey>,
     /// Timer tags mapping back to the relocation they guard.  Tags are
     /// removed both when the timer fires *and* when the replay settles the
     /// relocation first, so the map stays empty across settled relocations.
@@ -159,8 +167,7 @@ impl RelocationMachine {
         Self {
             counterparts: BTreeMap::new(),
             holdings: BTreeMap::new(),
-            replay_routes: BTreeMap::new(),
-            route_expiry: VecDeque::new(),
+            replay_routes: ReplayRoutes::default(),
             timeout_tags: BTreeMap::new(),
             next_timeout_tag: 0,
             repoints: BTreeSet::new(),
@@ -246,11 +253,7 @@ impl RelocationMachine {
         // (kept in the machine as well, so later checkpoints keep carrying
         // them).
         for (filter, towards) in recovered.repoints {
-            if !core.engine().table().contains_entry(&filter, &towards) {
-                core.engine_mut()
-                    .table_mut()
-                    .insert(filter.clone(), towards);
-            }
+            core.route_towards(filter.clone(), towards);
             machine.repoints.insert((filter, towards));
         }
 
@@ -335,7 +338,7 @@ impl RelocationMachine {
         let key = (client, filter.clone());
         if self.holdings.contains_key(&key) {
             RelocationPhase::Holding
-        } else if self.replay_routes.contains_key(&key) {
+        } else if self.replay_routes.next_hop(&key).is_some() {
             RelocationPhase::AwaitingReplay
         } else {
             RelocationPhase::Local
@@ -420,10 +423,11 @@ impl RelocationMachine {
     /// Lease sweep: expires the virtual counterpart of every stream whose
     /// client detached more than `lease_micros` ago and never returned.
     /// The expiry is logged (write-ahead) before the counterpart, the
-    /// departed client's record, its routing entry and its sequence state
+    /// departed client's record, its subscription and its sequence state
     /// are garbage collected — the exact resources a committed relocation
     /// would have reclaimed, minus the replay (there is nobody to replay
-    /// to).  Returns the effects (metrics) of the sweep.
+    /// to).  Returns the effects of the sweep: metrics, and the
+    /// `Unsubscribe`s that tear the departed client's delivery path down.
     pub fn expire_leases(
         &mut self,
         core: &mut BrokerCore,
@@ -457,7 +461,7 @@ impl RelocationMachine {
                 .remove(&key)
                 .map(|c| c.buffer.len() as u64)
                 .unwrap_or(0);
-            collect_subscription(core, *client, filter);
+            out.extend(collect_subscription(core, *client, filter));
             self.leases_expired += 1;
             out.push(Effect::Incr("mobility.lease_expired"));
             out.push(Effect::Add("mobility.lease_dropped_deliveries", dropped));
@@ -516,9 +520,10 @@ impl RelocationMachine {
         // The client is (re-)attached locally and its subscription installed
         // so that *new* notifications start flowing towards this broker.
         // The ordinary Subscribe propagation is replaced by the Relocate
-        // control message below, so the forwards are dropped.
+        // control message below; a client returning to the broker that
+        // still holds its subscription adds no second entry.
         core.handle_attach(client, from);
-        drop(core.handle_subscribe(client, filter.clone(), from));
+        core.subscribe_local(client, filter.clone());
 
         let key = (client, filter.clone());
 
@@ -615,10 +620,7 @@ impl RelocationMachine {
 
         // Install the subscription for the new path (without ordinary
         // propagation — the Relocate message itself propagates).
-        let already_routed_to_new_path = core.engine().table().contains_entry(&filter, &from);
-        if !already_routed_to_new_path {
-            core.engine_mut().table_mut().insert(filter.clone(), from);
-        }
+        core.route_towards(filter.clone(), from);
 
         // Junction test: an identical filter from a *different* link means
         // the old delivery path runs through this broker.  Section 4.1 has
@@ -636,10 +638,10 @@ impl RelocationMachine {
         if let Some(&old_link) = old_broker_links.first() {
             // This broker looks like the junction: from here on
             // notifications also flow towards the new path (the entry
-            // inserted above), and the buffered ones are fetched from the
-            // old border broker.  The old entry is *kept*: it may still
-            // serve other subscribers with an identical filter behind the
-            // old path.
+            // installed above), and the buffered ones are fetched from the
+            // old border broker.  The old entry goes when the old border
+            // broker's teardown `Unsubscribe` arrives behind the replay —
+            // and only if no other subscriber behind the old link needs it.
             out.push(Effect::Incr("mobility.junction_detected"));
             out.push(Effect::Incr("mobility.fetch_sent"));
             out.push(Effect::Send(
@@ -676,7 +678,7 @@ impl RelocationMachine {
         // request on: a dead end (e.g. the old border broker reached again
         // after it already replayed) needs no route.
         if !out.is_empty() {
-            self.note_replay_route(key, from, now_micros);
+            self.replay_routes.record(key, from, now_micros);
         }
         out
     }
@@ -714,11 +716,9 @@ impl RelocationMachine {
             .filter(|l| core.broker_links().contains(l))
             .collect();
         if let Some(&next) = old_links.first() {
-            if !core.engine().table().contains_entry(&filter, &from) {
-                core.engine_mut().table_mut().insert(filter.clone(), from);
-            }
+            core.route_towards(filter.clone(), from);
             // The replay will travel back the way the fetch came.
-            self.note_replay_route(key, from, now_micros);
+            self.replay_routes.record(key, from, now_micros);
             out.push(Effect::Incr("mobility.fetch_forwarded"));
             out.push(Effect::Send(
                 next,
@@ -735,22 +735,6 @@ impl RelocationMachine {
         out
     }
 
-    /// Records the next hop back towards the new border broker.  The latest
-    /// flood wins: following the `from` pointers of the current relocation
-    /// always leads back to the new border broker, whereas a route left
-    /// over from an *earlier* relocation of the same stream may point
-    /// anywhere (a client returning to a previously visited broker).
-    fn note_replay_route(&mut self, key: StreamKey, next_hop: NodeId, now_micros: u64) {
-        self.route_expiry.push_back((now_micros, key.clone()));
-        self.replay_routes.insert(
-            key,
-            ReplayRoute {
-                next_hop,
-                recorded_at: now_micros,
-            },
-        );
-    }
-
     /// Drops every replay route recorded more than one relocation timeout
     /// before `now_micros`; the host calls this once per handled event.
     ///
@@ -761,28 +745,16 @@ impl RelocationMachine {
     /// flood reached off the replay path never see the replay, so without
     /// this their routes would outlive the relocation.
     pub fn expire_replay_routes(&mut self, now_micros: u64) {
-        let timeout = self.relocation_timeout.as_micros();
-        while let Some(&(recorded_at, _)) = self.route_expiry.front() {
-            if now_micros.saturating_sub(recorded_at) <= timeout {
-                break;
-            }
-            let (_, key) = self.route_expiry.pop_front().expect("front exists");
-            // A newer flood of the same stream re-recorded the route: that
-            // entry is further back in the queue.
-            if self
-                .replay_routes
-                .get(&key)
-                .is_some_and(|route| route.recorded_at == recorded_at)
-            {
-                self.replay_routes.remove(&key);
-            }
-        }
+        self.replay_routes
+            .expire(now_micros, self.relocation_timeout.as_micros());
     }
 
     /// Replays the virtual counterpart of `(client, filter)` towards
     /// `towards` and garbage collects every resource associated with the
     /// roaming client at this broker.  The commit is logged *before* the
-    /// counterpart is dropped from memory.
+    /// counterpart is dropped from memory.  The `Replay` is sent first and
+    /// the teardown `Unsubscribe`s after it, so on the link back towards the
+    /// new location they travel FIFO behind the replay.
     fn replay_and_collect(
         &mut self,
         core: &mut BrokerCore,
@@ -808,31 +780,26 @@ impl RelocationMachine {
         // notifications matching the subscription must keep flowing towards
         // the new location, so the delivery path is re-pointed here as
         // well.
-        if !core.engine().table().contains_entry(filter, &towards) {
-            core.engine_mut()
-                .table_mut()
-                .insert(filter.clone(), towards);
-        }
+        core.route_towards(filter.clone(), towards);
         let mut out = vec![
             Effect::Incr("mobility.replay_sent"),
             Effect::Add("mobility.replayed", deliveries.len() as u64),
+            Effect::Send(
+                towards,
+                Message::Replay {
+                    client,
+                    filter: filter.clone(),
+                    deliveries,
+                },
+            ),
         ];
 
         // Garbage collection: the subscription of the departed client and
-        // its sequence state disappear from this broker; the routing entry
-        // pointing at the (gone) client node is dropped.
-        collect_subscription(core, client, filter);
+        // its sequence state disappear from this broker, and the old
+        // delivery path is torn down as an unsubscription would.
+        out.extend(collect_subscription(core, client, filter));
         out.push(Effect::Incr("mobility.gc_old_broker"));
         self.maybe_checkpoint();
-
-        out.push(Effect::Send(
-            towards,
-            Message::Replay {
-                client,
-                filter: filter.clone(),
-                deliveries,
-            },
-        ));
         out
     }
 
@@ -919,17 +886,17 @@ impl RelocationMachine {
                 });
             }
             out.extend(Message::deliveries(batch).map(|m| Effect::Send(client_node, m)));
-            self.replay_routes.remove(&key);
+            self.replay_routes.take(&key);
             self.maybe_checkpoint();
             return out;
         }
 
         // Intermediate broker: forward along the recorded route.
-        if let Some(route) = self.replay_routes.remove(&key) {
+        if let Some(next_hop) = self.replay_routes.take(&key) {
             vec![
                 Effect::Incr("mobility.replay_forwarded"),
                 Effect::Send(
-                    route.next_hop,
+                    next_hop,
                     Message::Replay {
                         client,
                         filter,
@@ -975,7 +942,7 @@ impl RelocationMachine {
             });
         }
         out.extend(Message::deliveries(batch).map(|m| Effect::Send(client_node, m)));
-        self.replay_routes.remove(&key);
+        self.replay_routes.take(&key);
         self.maybe_checkpoint();
         out
     }
@@ -1063,17 +1030,23 @@ fn relocation_flood_links(
 }
 
 /// Garbage collects one subscription of a departed client at its old
-/// border broker: the subscription with its routing entry, its sequence
-/// state, and the client record itself once nothing is left on it.
-fn collect_subscription(core: &mut BrokerCore, client: ClientId, filter: &Filter) {
-    if core.client(client).is_none() {
-        return;
-    }
-    core.unsubscribe_local(client, filter);
+/// border broker: the subscription, retracted by an ordinary
+/// unsubscription from the client's node, its sequence state, and the
+/// client record itself once nothing is left on it.  Returns the
+/// `Unsubscribe`s the retraction propagates.
+fn collect_subscription(core: &mut BrokerCore, client: ClientId, filter: &Filter) -> Vec<Effect> {
+    let Some(node) = core.client(client).map(|r| r.node) else {
+        return Vec::new();
+    };
+    let teardown = core.handle_unsubscribe(client, filter.clone(), node);
     core.sequences_mut().remove(client, filter);
     if core.local_subscriptions(client).is_empty() {
         core.remove_client(client);
     }
+    teardown
+        .into_iter()
+        .map(|(to, message)| Effect::Send(to, message))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1270,7 +1243,10 @@ mod tests {
         m.expire_replay_routes(161);
         assert!(!awaiting(&m, c1));
 
-        // The old border broker replays straight back: no route.
+        // The old border broker replays straight back: no route.  Behind
+        // the replay, on the same link, its teardown retracts the
+        // subscription it once forwarded there; link 11 keeps routing
+        // towards it, as the client now sits behind link 10.
         let c3 = ClientId::new(3);
         core.handle_attach(c3, NodeId(100));
         core.handle_subscribe(c3, filter(), NodeId(100));
@@ -1279,7 +1255,10 @@ mod tests {
         let effects = m.on_relocate(&mut core, c3, filter(), 0, NodeId(10), NodeId(10), 200);
         assert!(matches!(
             sends(&effects)[..],
-            [(NodeId(10), Message::Replay { .. })]
+            [
+                (NodeId(10), Message::Replay { .. }),
+                (NodeId(10), Message::Unsubscribe { .. })
+            ]
         ));
         assert_eq!(m.phase(c3, &filter()), RelocationPhase::Local);
 

@@ -100,8 +100,9 @@ impl<D: Ord + Clone> RoutingEngine<D> {
         &self.table
     }
 
-    /// Mutable access to the underlying routing table (used by the mobility
-    /// protocols, which re-point entries during relocation).
+    /// Mutable access to the underlying routing table, bypassing the
+    /// per-link propagation state: only for location-dependent filters,
+    /// which are hop-specific and carry their own control message.
     pub fn table_mut(&mut self) -> &mut RoutingTable<D> {
         &mut self.table
     }
@@ -145,6 +146,22 @@ impl<D: Ord + Clone> RoutingEngine<D> {
                 .table
                 .for_each_matching_destination(notification, from, visit),
         }
+    }
+
+    /// `true` when a subscription of `filter` arriving from the neighbour
+    /// `from` would add no route the table lacks: it holds an identical
+    /// entry from `from` or, under covering and merging routing, a covering
+    /// one — what the neighbour propagated in its place, and keeps in place
+    /// while the covered subscription lives.
+    pub fn routes_from(&self, filter: &Filter, from: &D) -> bool {
+        self.table.contains_entry(filter, from)
+            || (matches!(
+                self.kind,
+                RoutingStrategyKind::Covering | RoutingStrategyKind::Merging
+            ) && self
+                .table
+                .destinations_covering(filter, None)
+                .contains(from))
     }
 
     /// Processes a subscription received from `from` and decides towards
@@ -228,17 +245,14 @@ impl<D: Ord + Clone> RoutingEngine<D> {
             };
         }
 
-        // Remaining subscriptions the retracted filter still pays for,
-        // pruned through the index instead of a full table scan (identical
-        // filters cover each other, so `covered_entries` subsumes the
-        // equality case used by simple/identity routing).
+        // Links whose remaining subscriptions the retracted filter still
+        // pays for, pruned through the index instead of a full table scan
+        // (identical filters cover each other, so the covered set subsumes
+        // the equality case used by simple/identity routing).
         let dependants: Vec<D> = match self.kind {
-            RoutingStrategyKind::Covering | RoutingStrategyKind::Merging => self
-                .table
-                .covered_entries(filter)
-                .into_iter()
-                .map(|(link, _)| link.clone())
-                .collect(),
+            RoutingStrategyKind::Covering | RoutingStrategyKind::Merging => {
+                self.table.destinations_covered_by(filter)
+            }
             _ => self.table.destinations_with_identical(filter, None),
         };
         let mut forwards = Vec::new();
@@ -246,9 +260,8 @@ impl<D: Ord + Clone> RoutingEngine<D> {
             if target == from {
                 continue;
             }
-            // Is the path towards `target`'s subscribers... (no: towards *us*
-            // from target) still required?  It is, when some remaining
-            // subscription from a link other than `target` is covered by the
+            // The path from `target` towards us is still required while a
+            // remaining subscription from another link is covered by the
             // retracted filter (identity/simple: is identical to it).
             let still_needed = dependants.iter().any(|link| link != target);
             if still_needed {
@@ -258,7 +271,6 @@ impl<D: Ord + Clone> RoutingEngine<D> {
             let had_forwarded = sent.contains(filter) || sent.covers(filter);
             if had_forwarded {
                 sent.remove(filter);
-                sent.remove_covered_by(filter);
                 forwards.push((target.clone(), filter.clone()));
             }
         }
@@ -403,6 +415,22 @@ mod tests {
     }
 
     #[test]
+    fn retracting_a_wider_filter_keeps_the_narrower_ones_retractable() {
+        // Simple and identity routing forward every filter on its own, so
+        // each needs its own retraction, whatever order they go in.
+        for kind in [RoutingStrategyKind::Simple, RoutingStrategyKind::Identity] {
+            let mut e: RoutingEngine<u32> = RoutingEngine::new(kind);
+            for max in [10, 3, 5] {
+                e.handle_subscribe(parking(max), 1, LINKS);
+            }
+            for max in [10, 3, 5] {
+                let eff = e.handle_unsubscribe(&parking(max), &1, LINKS);
+                assert_eq!(eff.forwards.len(), 2, "{kind:?}: cost < {max}");
+            }
+        }
+    }
+
+    #[test]
     fn unsubscribe_of_unknown_filter_is_a_noop() {
         let mut e: RoutingEngine<u32> = RoutingEngine::new(RoutingStrategyKind::Covering);
         let eff = e.handle_unsubscribe(&parking(3), &1, LINKS);
@@ -466,6 +494,27 @@ mod tests {
                 e.for_each_route(&n, Some(&3), LINKS, |d| visited.push(*d));
                 assert_eq!(visited, e.route(&n, Some(&3), LINKS), "{kind:?}");
             }
+        }
+    }
+
+    #[test]
+    fn routes_from_counts_covers_only_where_the_strategy_suppresses() {
+        for kind in [
+            RoutingStrategyKind::Simple,
+            RoutingStrategyKind::Identity,
+            RoutingStrategyKind::Covering,
+            RoutingStrategyKind::Merging,
+        ] {
+            let mut e: RoutingEngine<u32> = RoutingEngine::new(kind);
+            e.handle_subscribe(parking(10), 1, LINKS);
+            assert!(e.routes_from(&parking(10), &1), "{kind:?}");
+            assert!(!e.routes_from(&parking(10), &2), "{kind:?}");
+            assert!(!e.routes_from(&parking(20), &1), "{kind:?}");
+            let covered = matches!(
+                kind,
+                RoutingStrategyKind::Covering | RoutingStrategyKind::Merging
+            );
+            assert_eq!(e.routes_from(&parking(3), &1), covered, "{kind:?}");
         }
     }
 

@@ -21,8 +21,8 @@
 //!
 //! [`RoutingTable::matching_destinations`] runs the counting algorithm over
 //! subgroups instead of scanning all filters, while the covering-based queries
-//! ([`RoutingTable::is_covered`], [`RoutingTable::remove_covered_by`],
-//! [`RoutingTable::covered_entries`]) run the same counting walk over
+//! ([`RoutingTable::destinations_covering`],
+//! [`RoutingTable::destinations_covered_by`]) run the same counting walk over
 //! deduplicated predicates in the covering domain.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -188,52 +188,6 @@ impl<D: Ord + Clone> RoutingTable<D> {
             .collect()
     }
 
-    /// Entry ids whose filter is covered by `filter`, in deterministic
-    /// (destination, insertion) order.
-    fn covered_ids(&self, filter: &Filter) -> Vec<u64> {
-        // The index answers per *subgroup*; expand each covered subgroup to
-        // its member entries and report grouped by destination, insertion
-        // order within each (matching the pre-index behaviour) — but sort
-        // only the covered ids instead of walking the whole table.
-        let mut keyed: Vec<((&D, usize), u64)> = self
-            .index
-            .covered_keys(filter)
-            .into_iter()
-            .flat_map(|sgid| self.subgroups[sgid].members.iter().copied())
-            .map(|id| {
-                let dest = &self.entries[&id].0;
-                let pos = self.dests[dest]
-                    .iter()
-                    .position(|&i| i == id)
-                    .expect("id in its destination's list");
-                ((dest, pos), id)
-            })
-            .collect();
-        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        keyed.into_iter().map(|(_, id)| id).collect()
-    }
-
-    /// Removes every entry (for any destination) covered by `filter` and
-    /// returns the removed `(destination, filter)` pairs.
-    pub fn remove_covered_by(&mut self, filter: &Filter) -> Vec<(D, Filter)> {
-        self.covered_ids(filter)
-            .into_iter()
-            .map(|id| self.remove_id(id).expect("live entry"))
-            .collect()
-    }
-
-    /// The `(destination, filter)` entries covered by `filter` (including
-    /// exact matches), answered by the index's exact covering query.
-    pub fn covered_entries(&self, filter: &Filter) -> Vec<(&D, &Filter)> {
-        self.covered_ids(filter)
-            .into_iter()
-            .map(|id| {
-                let (d, sgid) = &self.entries[&id];
-                (d, &self.subgroups[sgid].filter)
-            })
-            .collect()
-    }
-
     /// The destinations whose filters match the notification.  The optional
     /// `exclude` destination (usually the link the notification came from)
     /// is never returned.
@@ -307,6 +261,21 @@ impl<D: Ord + Clone> RoutingTable<D> {
         dests.into_iter().cloned().collect()
     }
 
+    /// The destinations holding at least one filter that `filter`
+    /// **covers** (including identical ones), via the index's exact covering
+    /// query — the mirror of [`RoutingTable::destinations_covering`].  An
+    /// unsubscription asks it which links still depend on the path the
+    /// retracted filter paid for.
+    pub fn destinations_covered_by(&self, filter: &Filter) -> Vec<D> {
+        let dests: BTreeSet<&D> = self
+            .index
+            .covered_keys(filter)
+            .into_iter()
+            .flat_map(|sgid| self.subgroups[sgid].dests.keys())
+            .collect();
+        dests.into_iter().cloned().collect()
+    }
+
     /// The destinations holding at least one filter identical to `filter` —
     /// a single subgroup lookup.
     pub fn destinations_with_identical(&self, filter: &Filter, exclude: Option<&D>) -> Vec<D> {
@@ -343,25 +312,6 @@ impl<D: Ord + Clone> RoutingTable<D> {
         self.dests
             .iter()
             .flat_map(move |(d, ids)| ids.iter().map(move |&id| (d, self.filter_of(id))))
-    }
-
-    /// All destinations currently present in the table.
-    pub fn destinations(&self) -> impl Iterator<Item = &D> {
-        self.dests.keys()
-    }
-
-    /// Returns `true` when any stored filter (from any destination other than
-    /// `exclude`) covers the given filter, via the index's exact covering
-    /// query.
-    pub fn is_covered(&self, filter: &Filter, exclude: Option<&D>) -> bool {
-        match exclude {
-            None => self.index.covers_any(filter),
-            Some(excl) => self
-                .index
-                .covering_keys(filter)
-                .into_iter()
-                .any(|sgid| self.subgroups[sgid].dests.keys().any(|d| d != excl)),
-        }
     }
 
     /// Total number of `(filter, destination)` entries.
@@ -479,24 +429,12 @@ mod tests {
     }
 
     #[test]
-    fn remove_covered_by_prunes_across_destinations() {
-        let mut t: RoutingTable<u32> = RoutingTable::new();
-        t.insert(parking(3), 1);
-        t.insert(parking(5), 2);
-        t.insert(parking(20), 3);
-        let removed = t.remove_covered_by(&parking(10));
-        assert_eq!(removed.len(), 2);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.filters_for(&3).len(), 1);
-    }
-
-    #[test]
     fn covering_and_identity_queries() {
         let mut t: RoutingTable<u32> = RoutingTable::new();
         t.insert(parking(10), 1);
-        assert!(t.is_covered(&parking(3), None));
-        assert!(!t.is_covered(&parking(20), None));
-        assert!(!t.is_covered(&parking(3), Some(&1)));
+        assert_eq!(t.destinations_covering(&parking(3), None), vec![1]);
+        assert!(t.destinations_covering(&parking(20), None).is_empty());
+        assert!(t.destinations_covering(&parking(3), Some(&1)).is_empty());
         assert!(t.contains_entry(&parking(10), &1));
         assert!(!t.contains_entry(&parking(10), &2));
     }
@@ -518,18 +456,20 @@ mod tests {
         let mut t: RoutingTable<u32> = RoutingTable::new();
         t.insert(parking(3), 2);
         t.insert(parking(5), 1);
-        let dests: Vec<u32> = t.destinations().copied().collect();
+        let dests: Vec<u32> = t.iter().map(|(d, _)| *d).collect();
         assert_eq!(dests, vec![1, 2]);
-        assert_eq!(t.iter().count(), 2);
     }
 
     #[test]
-    fn covered_entries_lists_destination_and_filter() {
+    fn destinations_covered_by_lists_each_destination_once() {
         let mut t: RoutingTable<u32> = RoutingTable::new();
+        t.insert(parking(3), 2);
+        t.insert(parking(5), 2);
         t.insert(parking(3), 1);
-        t.insert(parking(20), 2);
-        let covered = t.covered_entries(&parking(10));
-        assert_eq!(covered, vec![(&1, &parking(3))]);
+        t.insert(parking(20), 3);
+        assert_eq!(t.destinations_covered_by(&parking(10)), vec![1, 2]);
+        assert_eq!(t.destinations_covered_by(&parking(20)), vec![1, 2, 3]);
+        assert!(t.destinations_covered_by(&parking(2)).is_empty());
     }
 
     #[test]
@@ -554,7 +494,10 @@ mod tests {
         // whole subgroup go away.
         assert!(t.remove(&parking(4), &0));
         t.remove_destination(&3);
-        t.remove_covered_by(&parking(1));
+        for d in 0..5 {
+            while t.remove(&parking(0), &d) {}
+        }
+        assert!(t.destinations_with_identical(&parking(0), None).is_empty());
         t.insert(parking(2), 3);
 
         for cost in 0..7 {
