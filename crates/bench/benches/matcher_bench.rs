@@ -149,7 +149,8 @@ fn bench_matching_zipf(c: &mut Criterion) {
 }
 
 /// Covering queries: "is this new subscription already covered?" — the
-/// decision `FilterSet::insert_covering` makes on every subscription.  Measured for probes that are covered (the
+/// decision covering routing makes on every subscription.  Measured for
+/// probes that are covered (the
 /// linear scan usually early-exits) and for probes that are not (the linear
 /// scan must visit every filter; the index walk visits one constraint-level
 /// test per *distinct* predicate).

@@ -275,48 +275,45 @@ impl BrokerCore {
     }
 
     /// Routes `filter` towards `towards` as a subscription arriving from
-    /// `towards` would — through [`RoutingEngine::handle_subscribe`], so the
-    /// table's refcounts and the per-link propagation state describe it —
-    /// but sends nothing: the caller's own message (a relocation's
-    /// `Relocate` or `Fetch`) is the propagation, and crash recovery has
-    /// none.  Skipped when the table already routes it there: an identical
-    /// entry or, from a neighbouring broker, what
-    /// [`RoutingEngine::routes_from`] counts.  A local client's node gets
-    /// no such shortcut: its subscriptions are retracted one by one.
+    /// `towards` would, but sends nothing: the caller's own message (a
+    /// relocation's `Relocate` or `Fetch`) is the propagation, and crash
+    /// recovery has none.  Skipped when the table already routes it there
+    /// (see [`RoutingEngine::route_towards`]).
     pub fn route_towards(&mut self, filter: Filter, towards: NodeId) {
-        let routed = if self.broker_links.contains(&towards) {
-            self.engine.routes_from(&filter, &towards)
-        } else {
-            self.engine.table().contains_entry(&filter, &towards)
-        };
-        if !routed {
-            drop(
-                self.engine
-                    .handle_subscribe(filter, towards, &self.broker_links),
-            );
-        }
+        self.engine
+            .route_towards(filter, towards, &self.broker_links);
+    }
+
+    /// Records that a request routing `filter` back to this broker (a
+    /// relocation's `Relocate` or `Fetch`) goes to the neighbouring broker
+    /// `to`, which routes it with [`BrokerCore::route_towards`] — so the
+    /// engine knows what `to` holds (see [`RoutingEngine::note_relayed`]).
+    pub fn note_relayed(&mut self, filter: &Filter, to: NodeId) {
+        self.engine.note_relayed(filter, &to);
     }
 
     /// [`BrokerCore::handle_subscribe`] without the propagation decision,
     /// for protocols that carry their own control message from hop to hop
     /// (location-dependent subscriptions): adds the routing entry
-    /// `(filter, from)` and, when `from` is a local client's node, appends
-    /// `filter` to that client's subscriptions unless already held.
+    /// `(filter, from)`, which is never propagated (see
+    /// [`RoutingEngine::install`]), and, when `from` is a local client's
+    /// node, appends `filter` to that client's subscriptions unless already
+    /// held.
     pub fn install_subscription(&mut self, filter: Filter, from: NodeId) {
         if let Some(client) = self.client_by_node(from) {
             self.insert_local(client, &filter);
         }
-        self.engine.table_mut().insert(filter, from);
+        self.engine.install(filter, from);
     }
 
     /// The reverse of [`BrokerCore::install_subscription`]: removes one
-    /// routing entry `(filter, from)` and, when `from` is a local client's
-    /// node, the filter from that client's subscriptions.
+    /// installed routing entry `(filter, from)` and, when `from` is a local
+    /// client's node, the filter from that client's subscriptions.
     pub fn retract_subscription(&mut self, filter: &Filter, from: NodeId) {
         if let Some(client) = self.client_by_node(from) {
             self.local.remove(filter, &client);
         }
-        self.engine.table_mut().remove(filter, &from);
+        self.engine.retract(filter, &from);
     }
 
     /// Deliveries to disconnected local clients that accumulated since the
@@ -454,7 +451,9 @@ impl BrokerCore {
             .collect()
     }
 
-    /// A subscription is retracted.
+    /// A subscription is retracted.  What the retracted filter served and
+    /// nothing else the neighbours hold serves is subscribed again before
+    /// the `Unsubscribe`s go out (see [`RoutingEngine::handle_unsubscribe`]).
     pub fn handle_unsubscribe(
         &mut self,
         subscriber: ClientId,
@@ -464,20 +463,18 @@ impl BrokerCore {
         if let Some(client) = self.client_by_node(from) {
             self.local.remove(&filter, &client);
         }
-        self.engine
-            .handle_unsubscribe(&filter, &from, &self.broker_links)
+        let effect = self
+            .engine
+            .handle_unsubscribe(&filter, &from, &self.broker_links);
+        let subscribes = effect
+            .subscribes
+            .into_iter()
+            .map(|(link, filter)| (link, Message::Subscribe { subscriber, filter }));
+        let unsubscribes = effect
             .forwards
             .into_iter()
-            .map(|(link, forward)| {
-                (
-                    link,
-                    Message::Unsubscribe {
-                        subscriber,
-                        filter: forward,
-                    },
-                )
-            })
-            .collect()
+            .map(|(link, filter)| (link, Message::Unsubscribe { subscriber, filter }));
+        subscribes.chain(unsubscribes).collect()
     }
 
     /// A local client publishes a notification.  The border broker assigns

@@ -298,7 +298,12 @@ impl ClientNode {
                 }
                 self.broker = Some(broker);
                 // Reactive re-subscription at the new broker with the last
-                // received sequence number per subscription.
+                // received sequence number per subscription; a `ReSubscribe`
+                // attaches the client there, so without one it attaches
+                // explicitly.
+                if self.subscriptions.is_empty() {
+                    ctx.send(broker, Message::Attach { client: self.id });
+                }
                 for filter in self.subscriptions.clone() {
                     let last_seq = self.log.last_seq(&filter);
                     ctx.metrics().incr("client.resubscribe");
@@ -669,6 +674,19 @@ mod tests {
             matches!(received[3], Message::ReSubscribe { last_seq: 0, .. }),
             "no deliveries were received, so the echoed sequence number is 0"
         );
+    }
+
+    #[test]
+    fn move_to_without_a_subscription_attaches_at_the_new_broker() {
+        let script = vec![
+            ClientAction::Attach { broker: NodeId(0) },
+            ClientAction::MoveTo { broker: NodeId(0) },
+        ];
+        let (received, _) = run_script(script);
+        // Attach, Detach (old broker), Attach (new broker — same sink).
+        assert_eq!(received.len(), 3);
+        assert!(matches!(received[1], Message::Detach { .. }));
+        assert!(matches!(received[2], Message::Attach { .. }));
     }
 
     #[test]

@@ -629,3 +629,43 @@ fn repeated_relocations_preserve_the_stream() {
         (1..=50).collect::<Vec<u64>>()
     );
 }
+
+/// A client that moves while holding no subscription attaches at its new
+/// broker (ROADMAP Finding 13): on `line(3)` it moves from broker 0 to 1,
+/// subscribes there, and gets all 5 matching publications from broker 2;
+/// its unsubscription then empties every table. Before, the move sent the
+/// new broker nothing to attach by, and the 5 publications crossed their
+/// links to be delivered to nobody.
+#[test]
+fn a_move_without_subscriptions_attaches_at_the_new_broker() {
+    let mut sys = SystemBuilder::new(&Topology::line(3))
+        .link_delay(DelayModel::constant_millis(5))
+        .seed(1)
+        .build()
+        .unwrap();
+    let consumer = sys.connect(ClientId::new(1), 0).unwrap();
+    let producer = sys.connect(ClientId::new(2), 2).unwrap();
+    let settle = |sys: &mut MobilitySystem| {
+        let until = sys.now() + SimDuration::from_millis(300);
+        sys.run_until(until);
+    };
+    settle(&mut sys);
+    consumer.move_to(&mut sys, 1).unwrap();
+    settle(&mut sys);
+    consumer.subscribe(&mut sys, parking_filter()).unwrap();
+    settle(&mut sys);
+    for i in 0..5 {
+        producer.publish(&mut sys, vacancy(i)).unwrap();
+    }
+    settle(&mut sys);
+    let log = consumer.log(&sys).unwrap();
+    assert_eq!(log.len(), 5);
+    assert!(log.is_clean(), "{:?}", log.violations());
+
+    consumer.unsubscribe(&mut sys, parking_filter()).unwrap();
+    settle(&mut sys);
+    let entries: Vec<usize> = (0..3)
+        .map(|b| sys.broker(b).unwrap().routing_entries())
+        .collect();
+    assert_eq!(entries, vec![0, 0, 0]);
+}

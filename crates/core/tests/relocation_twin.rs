@@ -3,31 +3,33 @@
 //! border broker, subscribe at the new one" would.
 //!
 //! Two simulators run the same random script in lockstep: subscribe,
-//! unsubscribe and `move_to` over the filters `cost < {3, 5, 10}`, on
-//! `line(4)`, `star(3)` and `figure5()` under Simple, Identity, Covering and
-//! Merging routing. The twin replaces every move with exactly that:
-//! unsubscribe everything at the old broker, move, subscribe everything at
-//! the new one. After every step, once the network is quiet, each broker's
-//! routing decision for a probe of every cost is checked on every broker
-//! link:
+//! unsubscribe and `move_to` over the filters `cost < {3, 5, 10}` (a
+//! covering chain) and `location in {2}, {1, 2}, {2, 3}` (sets that
+//! perfect merging unions), on `line(4)`, `star(3)` and `figure5()` under
+//! Simple, Identity, Covering and Merging routing. The twin replaces every
+//! move with exactly that: unsubscribe everything at the old broker, move,
+//! subscribe everything at the new one. After every step, once the network
+//! is quiet, each broker's routing decision for probes of every cost and
+//! location is checked on every broker link, and each broker's entries
+//! against its neighbours:
 //!
 //! - against the ideal: a link must carry the probe when a subscriber
 //!   behind it holds a matching filter (no under-routing);
 //! - against the twin: a link may carry the probe only if the twin's
-//!   broker sends it there too (no old path left behind).
+//!   broker sends it there too (no old path left behind);
+//! - in both systems, against what each neighbour holds: a broker's entries
+//!   from a neighbouring broker are, as a multiset, exactly the filters that
+//!   neighbour's engine holds as sent to it (its `held()` table), so no
+//!   `Subscribe`, `Unsubscribe`, `Relocate` or `Fetch` left an entry the
+//!   sender does not know about.
 //!
 //! The twin unsubscribes and re-subscribes in the order the client keeps
-//! its subscriptions, the order its `ReSubscribe`s relocate them in. When
-//! everyone has unsubscribed, the routing checks run once more, and under
-//! Simple and Identity no broker may keep more entries than the twin's.
-//! Under Covering and Merging the static engine itself can keep a cover
-//! after its last dependant is gone (it keeps a forwarded cover while a
-//! covered subscription it suppressed still needs it, and never retracts
-//! it afterwards); the twin and a relocation strand different such covers,
-//! so there the entry counts are not comparable, only the routes.
-//!
-//! Moves are drawn only for clients holding a subscription: a `move_to`
-//! without one sends the new broker nothing to attach by.
+//! its subscriptions, the order its `ReSubscribe`s relocate them in. Moves
+//! are drawn for clients with and without subscriptions. When everyone has
+//! unsubscribed, the checks run once more and every table of both systems
+//! must be empty, under every strategy: what a neighbour holds is retracted
+//! with the last subscription it served, whether a subscription or a
+//! relocation put it there.
 
 use std::collections::BTreeSet;
 
@@ -35,11 +37,21 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rebeca_broker::ClientId;
 use rebeca_core::{MobilitySystem, Session, SystemBuilder};
-use rebeca_filter::{Constraint, Filter, Notification};
+use rebeca_filter::{Constraint, Filter, Notification, Value};
 use rebeca_routing::RoutingStrategyKind;
 use rebeca_sim::{DelayModel, NodeId, SimDuration, Topology};
 
-const BOUNDS: [i64; 3] = [3, 5, 10];
+/// The filters clients draw from, by index: `cost <` a bound, or
+/// `location in` a set.
+const FILTERS: [(i64, &[u32]); 6] = [
+    (3, &[]),
+    (5, &[]),
+    (10, &[]),
+    (0, &[2]),
+    (0, &[1, 2]),
+    (0, &[2, 3]),
+];
+const PROBES: i64 = 11;
 const CLIENTS: usize = 3;
 const STEPS: usize = 12;
 const SEEDS: u64 = 25;
@@ -51,18 +63,28 @@ const STRATEGIES: [RoutingStrategyKind; 4] = [
     RoutingStrategyKind::Merging,
 ];
 
-fn filter(bound: i64) -> Filter {
-    Filter::new().with("cost", Constraint::Lt(bound.into()))
+fn filter(id: usize) -> Filter {
+    match FILTERS[id] {
+        (bound, []) => Filter::new().with("cost", Constraint::Lt(bound.into())),
+        (_, places) => Filter::new().with(
+            "location",
+            Constraint::any_location_of(places.iter().copied()),
+        ),
+    }
 }
 
-fn probe(cost: i64) -> Notification {
-    Notification::builder().attr("cost", cost).build()
+/// Probe `i` costs `i` and stands at location `i % 4`.
+fn probe(i: i64) -> Notification {
+    Notification::builder()
+        .attr("cost", i)
+        .attr("location", Value::Location((i % 4) as u32))
+        .build()
 }
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Subscribe(usize, i64),
-    Unsubscribe(usize, i64),
+    Subscribe(usize, usize),
+    Unsubscribe(usize, usize),
     Move(usize, usize),
 }
 
@@ -72,7 +94,7 @@ enum Op {
 #[derive(Debug, Clone)]
 struct Client {
     broker: usize,
-    filters: Vec<i64>,
+    filters: Vec<usize>,
 }
 
 fn build(topology: &Topology, strategy: RoutingStrategyKind) -> MobilitySystem {
@@ -92,11 +114,11 @@ fn settle(sys: &mut MobilitySystem) {
 fn draw(rng: &mut StdRng, clients: &[Client], brokers: usize) -> Op {
     loop {
         let c = rng.gen_range(0..CLIENTS);
-        let bound = BOUNDS[rng.gen_range(0..BOUNDS.len())];
+        let f = rng.gen_range(0..FILTERS.len());
         match rng.gen_range(0..3u32) {
-            0 if !clients[c].filters.contains(&bound) => return Op::Subscribe(c, bound),
-            1 if clients[c].filters.contains(&bound) => return Op::Unsubscribe(c, bound),
-            2 if !clients[c].filters.is_empty() => {
+            0 if !clients[c].filters.contains(&f) => return Op::Subscribe(c, f),
+            1 if clients[c].filters.contains(&f) => return Op::Unsubscribe(c, f),
+            2 => {
                 let to = rng.gen_range(0..brokers);
                 if to != clients[c].broker {
                     return Op::Move(c, to);
@@ -116,28 +138,28 @@ fn apply(
     clients: &mut [Client],
 ) {
     match op {
-        Op::Subscribe(c, bound) => {
+        Op::Subscribe(c, f) => {
             for sys in [&mut *ours, &mut *twin] {
-                sessions[c].subscribe(sys, filter(bound)).unwrap();
+                sessions[c].subscribe(sys, filter(f)).unwrap();
             }
-            clients[c].filters.push(bound);
+            clients[c].filters.push(f);
         }
-        Op::Unsubscribe(c, bound) => {
+        Op::Unsubscribe(c, f) => {
             for sys in [&mut *ours, &mut *twin] {
-                sessions[c].unsubscribe(sys, filter(bound)).unwrap();
+                sessions[c].unsubscribe(sys, filter(f)).unwrap();
             }
-            clients[c].filters.retain(|&b| b != bound);
+            clients[c].filters.retain(|&held| held != f);
         }
         Op::Move(c, to) => {
             sessions[c].move_to(ours, to).unwrap();
-            for &bound in &clients[c].filters {
-                sessions[c].unsubscribe(twin, filter(bound)).unwrap();
+            for &f in &clients[c].filters {
+                sessions[c].unsubscribe(twin, filter(f)).unwrap();
             }
             sessions[c].detach(twin).unwrap();
             settle(twin);
             sessions[c].reattach(twin, to).unwrap();
-            for &bound in &clients[c].filters {
-                sessions[c].subscribe(twin, filter(bound)).unwrap();
+            for &f in &clients[c].filters {
+                sessions[c].subscribe(twin, filter(f)).unwrap();
             }
             clients[c].broker = to;
         }
@@ -158,17 +180,17 @@ fn routed(sys: &MobilitySystem, b: usize, notification: &Notification) -> BTreeS
 }
 
 /// The broker links of broker `b` with a subscriber behind them whose
-/// filter matches `cost`.
+/// filter matches `notification`.
 fn ideal(
     sys: &MobilitySystem,
     topology: &Topology,
     clients: &[Client],
     b: usize,
-    cost: i64,
+    notification: &Notification,
 ) -> BTreeSet<NodeId> {
     clients
         .iter()
-        .filter(|c| c.broker != b && c.filters.iter().any(|&bound| cost < bound))
+        .filter(|c| c.broker != b && c.filters.iter().any(|&f| filter(f).matches(notification)))
         .map(|c| {
             let path = topology.path(b, c.broker).unwrap();
             sys.broker_node(path[1]).unwrap()
@@ -183,24 +205,68 @@ fn check_routes(
     clients: &[Client],
 ) -> Result<(), String> {
     for b in 0..topology.len() {
-        for cost in 0..=BOUNDS[BOUNDS.len() - 1] {
-            let n = probe(cost);
+        for i in 0..PROBES {
+            let n = probe(i);
             let got = routed(ours, b, &n);
-            let need = ideal(ours, topology, clients, b, cost);
+            let need = ideal(ours, topology, clients, b, &n);
             if !need.is_subset(&got) {
                 return Err(format!(
-                    "broker {b} under-routes cost {cost}: routes {got:?}, needs {need:?}"
+                    "broker {b} under-routes probe {i}: routes {got:?}, needs {need:?}"
                 ));
             }
             let twin_routes = routed(twin, b, &n);
             if !got.is_subset(&twin_routes) {
                 return Err(format!(
-                    "broker {b} routes cost {cost} on {got:?}, the twin only on {twin_routes:?}"
+                    "broker {b} routes probe {i} on {got:?}, the twin only on {twin_routes:?}"
                 ));
             }
         }
     }
     Ok(())
+}
+
+/// Checks that every broker's entries from each neighbouring broker are
+/// what that neighbour holds as sent to it.
+fn check_held(sys: &MobilitySystem) -> Result<(), String> {
+    let nodes: Vec<NodeId> = (0..sys.broker_count())
+        .map(|b| sys.broker_node(b).unwrap())
+        .collect();
+    for (b, &node) in nodes.iter().enumerate() {
+        let core = sys.broker(b).unwrap().core();
+        for link in core.broker_links() {
+            let m = nodes.iter().position(|n| n == link).unwrap();
+            let mut entries = core.engine().table().filters_for(link);
+            let neighbour = sys.broker(m).unwrap().core();
+            let mut held = neighbour.engine().held().filters_for(&node);
+            entries.sort_unstable();
+            held.sort_unstable();
+            if entries != held {
+                return Err(format!(
+                    "broker {b} holds {} from broker {m}, which holds {} as sent",
+                    list(&entries),
+                    list(&held)
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+fn list(filters: &[&Filter]) -> String {
+    let shown: Vec<String> = filters.iter().map(|f| f.to_string()).collect();
+    format!("[{}]", shown.join(", "))
+}
+
+/// Every check of one quiet point, in both systems.
+fn check(
+    ours: &MobilitySystem,
+    twin: &MobilitySystem,
+    topology: &Topology,
+    clients: &[Client],
+) -> Result<(), String> {
+    check_routes(ours, twin, topology, clients)?;
+    check_held(ours)?;
+    check_held(twin).map_err(|e| format!("twin: {e}"))
 }
 
 fn entries(sys: &MobilitySystem) -> Vec<usize> {
@@ -232,14 +298,14 @@ fn run(topology: &Topology, strategy: RoutingStrategyKind, seed: u64) -> Result<
     for step in 0..STEPS {
         let op = draw(&mut rng, &clients, topology.len());
         apply(op, &mut ours, &mut twin, &sessions, &mut clients);
-        check_routes(&ours, &twin, topology, &clients)
+        check(&ours, &twin, topology, &clients)
             .map_err(|e| format!("step {step} ({op:?}): {e}"))?;
     }
 
     for c in 0..CLIENTS {
-        for bound in clients[c].filters.clone() {
+        for f in clients[c].filters.clone() {
             apply(
-                Op::Unsubscribe(c, bound),
+                Op::Unsubscribe(c, f),
                 &mut ours,
                 &mut twin,
                 &sessions,
@@ -247,18 +313,13 @@ fn run(topology: &Topology, strategy: RoutingStrategyKind, seed: u64) -> Result<
             );
         }
     }
-    check_routes(&ours, &twin, topology, &clients)
+    check(&ours, &twin, topology, &clients)
         .map_err(|e| format!("after every unsubscription: {e}"))?;
-    // Covering and merging are held to the routing checks only: see the
-    // module docs.
-    let bounded = matches!(
-        strategy,
-        RoutingStrategyKind::Simple | RoutingStrategyKind::Identity
-    );
     let (left, twin_left) = (entries(&ours), entries(&twin));
-    if bounded && left.iter().zip(&twin_left).any(|(o, t)| o > t) {
+    let empty = vec![0; topology.len()];
+    if left != empty || twin_left != empty {
         return Err(format!(
-            "after every unsubscription: entries {left:?}, the twin keeps {twin_left:?}"
+            "after every unsubscription: entries {left:?}, the twin's {twin_left:?}"
         ));
     }
     Ok(())

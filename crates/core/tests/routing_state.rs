@@ -18,6 +18,11 @@
 //! - A consumer that detaches and returns to the same broker keeps one
 //!   entry per subscription, so its unsubscription still clears the
 //!   network.
+//!
+//! Two static cases pin what each neighbour holds (ROADMAP Findings 12 and
+//! 14): a cover sent after the subscription it covers is retracted with its
+//! own unsubscription under Covering and Merging, and Simple routing's one
+//! copy per subscriber is retracted one copy per unsubscriber.
 
 use rebeca_broker::ClientId;
 use rebeca_core::{BrokerConfig, MobilitySystem, Session, SystemBuilder};
@@ -43,6 +48,19 @@ fn settle(sys: &mut MobilitySystem) {
     sys.run_until(until);
 }
 
+/// Publishes `count` matching vacancies numbered from `first` and returns
+/// the broker-to-broker notifications they caused.
+fn link_notifications(sys: &mut MobilitySystem, producer: Session, first: u64, count: u64) -> u64 {
+    let before = sys.metrics().counter("broker.tx.notification");
+    for i in first..first + count {
+        producer.publish(sys, vacancy(i)).unwrap();
+        let until = sys.now() + SimDuration::from_millis(10);
+        sys.run_until(until);
+    }
+    settle(sys);
+    sys.metrics().counter("broker.tx.notification") - before
+}
+
 /// Publishes [`PUBLICATIONS`] matching vacancies and returns the
 /// broker-to-broker notifications they caused, per publication.
 fn link_notifications_per_publication(
@@ -50,15 +68,7 @@ fn link_notifications_per_publication(
     producer: Session,
     first: u64,
 ) -> f64 {
-    let before = sys.metrics().counter("broker.tx.notification");
-    for i in first..first + PUBLICATIONS {
-        producer.publish(sys, vacancy(i)).unwrap();
-        let until = sys.now() + SimDuration::from_millis(10);
-        sys.run_until(until);
-    }
-    settle(sys);
-    let sent = sys.metrics().counter("broker.tx.notification") - before;
-    sent as f64 / PUBLICATIONS as f64
+    link_notifications(sys, producer, first, PUBLICATIONS) as f64 / PUBLICATIONS as f64
 }
 
 fn routing_entries(sys: &MobilitySystem) -> Vec<usize> {
@@ -193,4 +203,64 @@ fn a_return_to_the_same_broker_leaves_one_entry_per_subscription() {
         assert_eq!(log.len() as u64, PUBLICATIONS, "{strategy:?}");
         assert!(log.is_clean(), "{strategy:?}");
     }
+}
+
+fn cost_below(bound: i64) -> Filter {
+    Filter::new().with("cost", Constraint::Lt(bound.into()))
+}
+
+/// Finding 12: on `star(3)` one client at broker 3 subscribes `cost < 5`,
+/// then subscribes and unsubscribes `cost < 10` (a cover sent after the
+/// subscription it covers), then unsubscribes `cost < 5`. Every table ends
+/// empty; before the held table the cover stayed at brokers 0, 1 and 2.
+#[test]
+fn a_later_cover_leaves_with_its_own_unsubscription() {
+    for strategy in [RoutingStrategyKind::Covering, RoutingStrategyKind::Merging] {
+        let mut sys = SystemBuilder::new(&Topology::star(3))
+            .strategy(strategy)
+            .link_delay(DelayModel::constant_millis(5))
+            .seed(1)
+            .build()
+            .unwrap();
+        let client = sys.connect(ClientId::new(1), 3).unwrap();
+        client.subscribe(&mut sys, cost_below(5)).unwrap();
+        settle(&mut sys);
+        client.subscribe(&mut sys, cost_below(10)).unwrap();
+        settle(&mut sys);
+        client.unsubscribe(&mut sys, cost_below(10)).unwrap();
+        settle(&mut sys);
+        assert_eq!(routing_entries(&sys), vec![1, 1, 1, 1], "{strategy:?}");
+        client.unsubscribe(&mut sys, cost_below(5)).unwrap();
+        settle(&mut sys);
+        assert_eq!(routing_entries(&sys), vec![0, 0, 0, 0], "{strategy:?}");
+    }
+}
+
+/// Finding 14: on `line(3)` two clients at broker 0 subscribe the same
+/// filter under Simple routing, which sends one copy per subscription, and
+/// both unsubscribe. Every copy is retracted: the tables end empty and 5
+/// publications from broker 2 cross no link (before the held table the
+/// entries ended at `[0, 1, 2]` and the publications crossed 10 links).
+#[test]
+fn simple_routing_retracts_one_copy_per_unsubscription() {
+    let mut sys = SystemBuilder::new(&Topology::line(3))
+        .strategy(RoutingStrategyKind::Simple)
+        .link_delay(DelayModel::constant_millis(5))
+        .seed(1)
+        .build()
+        .unwrap();
+    let first = sys.connect(ClientId::new(1), 0).unwrap();
+    let second = sys.connect(ClientId::new(2), 0).unwrap();
+    let producer = sys.connect(ClientId::new(3), 2).unwrap();
+    for client in [first, second] {
+        client.subscribe(&mut sys, parking()).unwrap();
+    }
+    settle(&mut sys);
+    assert_eq!(routing_entries(&sys), vec![2, 2, 2]);
+    for client in [first, second] {
+        client.unsubscribe(&mut sys, parking()).unwrap();
+    }
+    settle(&mut sys);
+    assert_eq!(routing_entries(&sys), vec![0, 0, 0]);
+    assert_eq!(link_notifications(&mut sys, producer, 0, 5), 0);
 }

@@ -44,9 +44,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// The covering/merging-aware `FilterSet` that used to live here moved to
-// `rebeca-matcher`, where it is backed by the attribute-partitioned
-// predicate index (this crate stays the dependency-free data model).
+// This crate stays the dependency-free data model: covering and merging
+// decisions over many filters run on `rebeca-matcher`'s predicate index.
 mod constraint;
 mod filter;
 mod notification;

@@ -127,9 +127,6 @@ proptest! {
         }
     }
 
-    // (The FilterSet preservation property moved to `rebeca-matcher`'s
-    // equivalence tests together with the FilterSet implementation.)
-
     /// Constraint-level covering soundness over the integer domain.
     #[test]
     fn constraint_covering_sound(c1 in constraint(), c2 in constraint(), v in small_value()) {

@@ -48,8 +48,7 @@
 //! [`FilterIndex::covering_keys`] and [`FilterIndex::covered_keys`] are
 //! **exact** (identical to running [`Filter::covers`] against every stored
 //! filter) while paying one constraint-level test per distinct predicate
-//! *overlapping the probe's bounds*.  [`FilterIndex::same_attr_keys`]
-//! completes the merge-partner search of `FilterSet::insert_merging`.
+//! *overlapping the probe's bounds*.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
@@ -167,11 +166,6 @@ impl<K: Eq + Hash + Clone> FilterIndex<K> {
         self.keys.is_empty()
     }
 
-    /// `true` when a filter is registered under `key`.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.keys.contains_key(key)
-    }
-
     /// Number of distinct predicates currently stored (after deduplication);
     /// exposed for diagnostics and benchmarks.
     pub fn predicate_count(&self) -> usize {
@@ -251,11 +245,6 @@ impl<K: Eq + Hash + Clone> FilterIndex<K> {
         true
     }
 
-    /// Removes every filter.
-    pub fn clear(&mut self) {
-        *self = Self::default();
-    }
-
     /// Keys of every filter matching the notification, via the counting
     /// algorithm: universal filters first (insertion-slot order), then each
     /// match in the deterministic order its counter completes.
@@ -287,26 +276,6 @@ impl<K: Eq + Hash + Clone> FilterIndex<K> {
                     }
                 });
             }
-        })
-    }
-
-    /// `true` when at least one indexed filter matches the notification.
-    pub fn any_match(&self, notification: &Notification) -> bool {
-        if !self.universal.is_empty() {
-            return true;
-        }
-        with_thread_scratch(|scratch| {
-            scratch.begin(self.entries.len());
-            notification.iter().any(|(name, value)| {
-                let Some(attr_id) = self.store.attr_id(name) else {
-                    return false;
-                };
-                let mut found = false;
-                self.store.for_each_satisfied(attr_id, value, &mut |pred| {
-                    found = found || self.completes_any(&pred.postings, scratch);
-                });
-                found
-            })
         })
     }
 
@@ -467,34 +436,6 @@ impl<K: Eq + Hash + Clone> FilterIndex<K> {
                 }
             });
         self.keys_of(fids)
-    }
-
-    /// Keys of the stored filters constraining **exactly** the same
-    /// attribute set as `filter` (used to find perfect-merge partners that
-    /// neither cover nor are covered), sorted by insertion slot.
-    pub fn same_attr_keys(&self, filter: &Filter) -> Vec<&K> {
-        if filter.is_empty() {
-            return self.keys_of(self.universal.iter().copied().collect());
-        }
-        let needed = filter.len() as u32;
-        with_thread_scratch(|scratch| {
-            scratch.begin(self.entries.len());
-            let mut fids = Vec::new();
-            for (name, _) in filter.iter() {
-                let Some(attr_id) = self.store.attr_id(name) else {
-                    return Vec::new();
-                };
-                for fid in self.store.attr_filters(attr_id) {
-                    // Reaching `needed` hits means the filter constrains
-                    // every attribute of the probe; an equal constraint
-                    // count then means it constrains nothing else.
-                    if scratch.bump(fid) == needed && self.entry(fid).constraint_count == needed {
-                        fids.push(fid);
-                    }
-                }
-            }
-            self.keys_of(fids)
-        })
     }
 
     /// Matches a queue of notifications at once, returning each
@@ -703,7 +644,6 @@ mod tests {
         let mut idx: FilterIndex<u32> = FilterIndex::new();
         idx.insert(7, &Filter::universal());
         assert_eq!(idx.matching_keys(&Notification::new()), vec![&7]);
-        assert!(idx.any_match(&vacancy(1)));
     }
 
     #[test]
@@ -805,10 +745,6 @@ mod tests {
         // A probe with an unknown attribute can cover nothing.
         let probe = Filter::new().with("nope", Constraint::Exists);
         assert!(idx.covered_keys(&probe).is_empty());
-
-        // Same-attribute-set partners of a parking probe.
-        assert_eq!(idx.same_attr_keys(&parking(99)), vec![&2]);
-        assert_eq!(idx.same_attr_keys(&Filter::universal()), vec![&4]);
     }
 
     #[test]
@@ -820,11 +756,9 @@ mod tests {
         assert_eq!(idx.covering_keys(&parking(1)), vec![&1, &2, &4]);
         assert!(idx.covers_any(&parking(1)));
         assert_eq!(idx.covered_keys(&parking(10)), vec![&2]);
-        assert_eq!(idx.same_attr_keys(&parking(99)), vec![&2]);
         assert!(idx.remove(&2));
         assert!(idx.covered_keys(&parking(10)).is_empty());
         assert_eq!(idx.covering_keys(&parking(1)), vec![&1, &4]);
-        assert!(idx.same_attr_keys(&parking(99)).is_empty());
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!   shared `&FilterIndex`.  [`FilterIndex::match_batch`] matches whole
 //!   notification queues with per-predicate lane masks, walking every
 //!   posting list once per 64-notification chunk.
-//! * [`FilterSet`] — the covering/merging-aware filter collection used by
-//!   routing state, re-homed from `rebeca-filter` and rebuilt on top of the
-//!   index.
+//!
+//! Routing state (`rebeca-routing`'s tables) keeps one index key per
+//! distinct filter and asks it the matching and covering questions.
 //!
 //! Exactness is a hard requirement: every fast path either proves its answer
 //! by construction or falls back to the exact predicate evaluation of
@@ -54,12 +54,10 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod filterset;
 mod index;
 mod scratch;
 mod store;
 
-pub use filterset::{FilterSet, InsertOutcome};
 pub use index::FilterIndex;
 
 /// Former name of [`FilterIndex`], kept only for the benchmark harness.

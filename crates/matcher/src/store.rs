@@ -33,7 +33,7 @@
 //! definition), so the walks visit fewer predicates without ever changing a
 //! result.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound::{Excluded, Unbounded};
 
 use rebeca_filter::{Constraint, Value};
@@ -157,9 +157,6 @@ struct AttrIndex {
     /// Predicates evaluated directly (`Ne`, string predicates, ordered
     /// constraints with non-numeric bounds, empty `In` sets).
     residual: SmallVec<u32, 4>,
-    /// Filters constraining this attribute (sorted, deterministic), used by
-    /// the same-attribute counting walks.
-    filters: BTreeSet<u32>,
     /// Covering summary, maintained incrementally on insert/remove: the
     /// bound keys of predicates used by at least one single-constraint
     /// filter, per ordered class, with the number of such predicates at
@@ -220,11 +217,6 @@ impl PredStore {
     #[inline]
     pub(crate) fn pred(&self, attr_id: u32, pred_id: u32) -> &Pred {
         self.attrs[attr_id as usize].pred(pred_id)
-    }
-
-    /// Filters (by entry id) constraining the attribute.
-    pub(crate) fn attr_filters(&self, attr_id: u32) -> impl Iterator<Item = u32> + '_ {
-        self.attrs[attr_id as usize].filters.iter().copied()
     }
 
     /// Number of live predicates across all attributes.
@@ -290,7 +282,6 @@ impl PredStore {
         if first_solo {
             register_solo(attr, pred_id);
         }
-        attr.filters.insert(fid);
         pred_id
     }
 
@@ -315,7 +306,6 @@ impl PredStore {
         if last_solo {
             unregister_solo(attr, pred_id);
         }
-        attr.filters.remove(&fid);
         if attr.preds[pred_id as usize]
             .as_ref()
             .expect("live pred")

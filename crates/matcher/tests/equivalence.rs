@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use rebeca_filter::{Constraint, Filter, Notification, Value};
-use rebeca_matcher::{FilterIndex, FilterSet};
+use rebeca_matcher::FilterIndex;
 
 /// Values over a small shared domain so filters and notifications interact
 /// often; includes every `Value` kind plus int/float aliasing (`3` vs `3.0`).
@@ -138,13 +138,6 @@ proptest! {
         prop_assert_eq!(got, expected, "index disagrees with linear scan on {}", n);
     }
 
-    /// `any_match` agrees with the existential linear scan.
-    #[test]
-    fn any_match_equals_linear_scan((filters, removed) in workload(), n in notification()) {
-        let (index, oracle) = build(&filters, &removed);
-        prop_assert_eq!(index.any_match(&n), oracle.iter().any(|(_, f)| f.matches(&n)));
-    }
-
     /// `covering_keys` returns exactly the filters the linear scan proves to
     /// cover the probe, and `covers_any` agrees with their existence.
     #[test]
@@ -192,62 +185,6 @@ proptest! {
             .map(|n| oracle.iter().filter(|(_, f)| f.matches(n)).map(|(i, _)| *i).collect())
             .collect();
         prop_assert_eq!(got, expected);
-    }
-
-    /// `same_attr_keys` returns exactly the stored filters constraining the
-    /// probe's attribute set.
-    #[test]
-    fn same_attr_keys_equal_linear_scan((filters, removed) in workload(), probe in filter()) {
-        let (index, oracle) = build(&filters, &removed);
-        let got: Vec<usize> = index.same_attr_keys(&probe).into_iter().copied().collect();
-        let probe_attrs: Vec<&str> = probe.iter().map(|(a, _)| a).collect();
-        let expected: Vec<usize> = oracle
-            .iter()
-            .filter(|(_, f)| f.iter().map(|(a, _)| a).collect::<Vec<_>>() == probe_attrs)
-            .map(|(i, _)| *i)
-            .collect();
-        prop_assert_eq!(got, expected, "same-attr keys disagree for {}", probe);
-    }
-
-    /// The index-backed `FilterSet` preserves the matched-notification set of
-    /// plain insertion under covering insertion, and never loses matches
-    /// under merging insertion (the property formerly tested in
-    /// `rebeca-filter`, now running against the indexed implementation).
-    #[test]
-    fn covering_filterset_preserves_matching(fs in prop::collection::vec(filter(), 0..6), n in notification()) {
-        let mut simple = FilterSet::new();
-        let mut covering = FilterSet::new();
-        let mut merging = FilterSet::new();
-        for f in &fs {
-            simple.insert_simple(f.clone());
-            covering.insert_covering(f.clone());
-            merging.insert_merging(f.clone());
-        }
-        prop_assert_eq!(simple.matches(&n), covering.matches(&n),
-            "covering set differs from simple set on {}", n);
-        if simple.matches(&n) {
-            prop_assert!(merging.matches(&n), "merging set lost a match on {}", n);
-        }
-        prop_assert!(covering.len() <= simple.len());
-        prop_assert!(merging.len() <= simple.len());
-    }
-
-    /// `FilterSet::matches`, `covers` and `contains` agree with a linear
-    /// oracle over the stored filters after mixed insertions.
-    #[test]
-    fn filterset_queries_equal_linear_oracle(
-        fs in prop::collection::vec(filter(), 0..10),
-        n in notification(),
-        probe in filter(),
-    ) {
-        let mut set = FilterSet::new();
-        for f in &fs {
-            set.insert_simple(f.clone());
-        }
-        let stored: Vec<&Filter> = set.iter().collect();
-        prop_assert_eq!(set.matches(&n), stored.iter().any(|f| f.matches(&n)));
-        prop_assert_eq!(set.covers(&probe), stored.iter().any(|f| f.covers(&probe)));
-        prop_assert_eq!(set.contains(&probe), stored.contains(&&probe));
     }
 }
 
@@ -311,14 +248,12 @@ fn large_seeded_soak_matches_oracle() {
     }
 }
 
-/// Shared matching requires the index and the filter set to be shareable
-/// across threads; pin that at compile time so a reintroduced `RefCell` (or
+/// Shared matching requires the index to be shareable across threads; pin that at compile time so a reintroduced `RefCell` (or
 /// any other interior mutability) fails the build, not a race.
 #[test]
 fn indexes_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<FilterIndex<u64>>();
-    assert_send_sync::<FilterSet>();
 }
 
 /// Four threads match concurrently against one shared `&index` while the

@@ -46,12 +46,14 @@
 //! The machine writes the routing table only through the broker's
 //! [`RoutingEngine`](rebeca_routing::RoutingEngine), so a move leaves the
 //! table "unsubscribe at the old border broker, subscribe at the new one"
-//! would leave.  Every broker a `Relocate` or `Fetch` passes routes the
+//! would leave.  Every broker a `Relocate` or `Fetch` reaches routes the
 //! filter back the way it came ([`BrokerCore::route_towards`]): the request
-//! is the subscription's propagation.  The old border broker sends its
-//! `Replay`, then retracts the departed client's subscription with an
-//! ordinary unsubscription, whose `Unsubscribe`s tear the old path down
-//! FIFO behind the replay (an expired lease does the same).  Commit
+//! is the subscription's propagation, so its sender records it as held by
+//! the receiver ([`BrokerCore::note_relayed`]) and a later unsubscription
+//! retracts it like any forwarded subscription.  The old border broker
+//! sends its `Replay`, then retracts the departed client's subscription
+//! with an ordinary unsubscription, whose `Unsubscribe`s tear the old path
+//! down FIFO behind the replay (an expired lease does the same).  Commit
 //! re-points are journaled and re-installed on recovery, until a restarted
 //! broker can re-learn its entries from its neighbours.
 
@@ -575,6 +577,9 @@ impl RelocationMachine {
         out.push(Effect::SetTimer(self.relocation_timeout, tag));
 
         let links = relocation_flood_links(core, &filter, None, self.scoped_flood);
+        for &link in &links {
+            core.note_relayed(&filter, link);
+        }
         let relocate = Message::Relocate {
             client,
             filter,
@@ -644,6 +649,7 @@ impl RelocationMachine {
             // and only if no other subscriber behind the old link needs it.
             out.push(Effect::Incr("mobility.junction_detected"));
             out.push(Effect::Incr("mobility.fetch_sent"));
+            core.note_relayed(&filter, old_link);
             out.push(Effect::Send(
                 old_link,
                 Message::Fetch {
@@ -663,6 +669,7 @@ impl RelocationMachine {
         // replays are idempotent: whoever asks after the counterpart has
         // been collected gets nothing.
         for link in relocation_flood_links(core, &filter, Some(from), self.scoped_flood) {
+            core.note_relayed(&filter, link);
             out.push(Effect::Incr("mobility.relocate_sent"));
             out.push(Effect::Send(
                 link,
@@ -706,8 +713,10 @@ impl RelocationMachine {
         }
 
         // Intermediate broker on the old path: point the delivery path
-        // towards the junction as well and forward the fetch towards the
-        // old border broker.
+        // towards the junction as well — a dead end too, since the sender
+        // counts on it — and forward the fetch towards the old border
+        // broker.
+        core.route_towards(filter.clone(), from);
         let old_links: Vec<NodeId> = core
             .engine()
             .table()
@@ -716,9 +725,9 @@ impl RelocationMachine {
             .filter(|l| core.broker_links().contains(l))
             .collect();
         if let Some(&next) = old_links.first() {
-            core.route_towards(filter.clone(), from);
             // The replay will travel back the way the fetch came.
             self.replay_routes.record(key, from, now_micros);
+            core.note_relayed(&filter, next);
             out.push(Effect::Incr("mobility.fetch_forwarded"));
             out.push(Effect::Send(
                 next,
@@ -1138,6 +1147,40 @@ mod tests {
             .iter()
             .all(|(_, msg)| matches!(msg, Message::Relocate { last_seq: 5, .. })));
         assert!(effects.iter().any(|e| matches!(e, Effect::SetTimer(_, _))));
+    }
+
+    /// Every broker a `Relocate` or `Fetch` reaches routes the filter back
+    /// towards its sender, which records that in its held table: the
+    /// relocation's requests are its propagation.
+    #[test]
+    fn relayed_requests_are_held_and_routed_back_even_at_a_dead_end() {
+        let mut core = core();
+        let mut m = machine();
+        m.on_resubscribe(&mut core, ClientId::new(1), filter(), 5, NodeId(100));
+        for link in [NodeId(10), NodeId(11)] {
+            assert_eq!(core.engine().held().filters_for(&link), vec![&filter()]);
+        }
+
+        // A fetch reaching a broker with no old path to follow stops there,
+        // but still routes the filter back the way it came.
+        let mut dead_end = self::core();
+        let effects = m.on_fetch(
+            &mut dead_end,
+            ClientId::new(1),
+            filter(),
+            5,
+            NodeId(10),
+            NodeId(10),
+            0,
+        );
+        assert!(sends(&effects).is_empty());
+        assert!(effects
+            .iter()
+            .any(|e| matches!(e, Effect::Incr("mobility.fetch_dead_end"))));
+        assert!(dead_end
+            .engine()
+            .table()
+            .contains_entry(&filter(), &NodeId(10)));
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //! merging routing strategies whose covering and merging optimizations the
 //! paper's mobility algorithms exploit.
 //!
+//! The strategies differ in one predicate only.  Beside its table each
+//! [`RoutingEngine`] keeps a second [`RoutingTable`] of what every
+//! neighbour holds from it (one entry per `Subscribe` sent and not
+//! retracted), and decides every subscription and unsubscription by one
+//! rule over it; the strategy says only whether a held filter serves a
+//! table entry (never, when identical, or when covering).  So no strategy
+//! leaves a neighbour holding a filter nobody behind the broker needs.
+//!
 //! The crate is deliberately independent of any concrete broker or network
 //! implementation: destinations are a generic type parameter (`D`), so the
 //! same engine drives the discrete-event simulation in `rebeca-sim`, the

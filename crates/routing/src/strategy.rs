@@ -14,13 +14,36 @@
 //!    ([`RoutingEngine::handle_subscribe`] /
 //!    [`RoutingEngine::handle_unsubscribe`]).
 //!
-//! The propagation decision is tracked **per neighbouring link**: a
-//! subscription is suppressed towards a neighbour only when a filter covering
-//! it has already been propagated *to that neighbour*.  (A broker never
+//! # One propagation rule
+//!
+//! Beside its table the engine keeps the **held table**
+//! ([`RoutingEngine::held`]): one entry `(f, n)` for each `Subscribe(f)`
+//! sent to the neighbour `n` and not yet retracted — exactly the entries
+//! `n`'s table holds pointing back here.  Every strategy decides by the
+//! same rule over it; the only per-strategy input is whether a held filter
+//! `h` *serves* a table entry `e`: simple routing never (one copy per
+//! instance), identity routing when `h == e`, covering and merging routing
+//! when `h` covers `e`.
+//!
+//! - **Subscribe `f` from `from`:** offer `f` to every neighbour `n ≠ from`
+//!   whose held filters do not serve it.  Under merging routing the filter
+//!   sent is the perfect merger of `f` with a filter already held by `n`,
+//!   when one exists.
+//! - **Unsubscribe `f` from `from`:** at every neighbour `n ≠ from`,
+//!   retract each held filter `h` that is `f` or served it and now has more
+//!   copies held by `n` than the table has propagating entries identical
+//!   to `h` from destinations other than `n`.  Before the `Unsubscribe(h)`,
+//!   offer `n` again the propagating entries `h` served and that no other
+//!   held filter serves; on a FIFO link that leaves no delivery gap.
+//!
+//! So a neighbour never keeps a filter nobody behind this broker needs,
+//! whatever the strategy.  An unsubscription whose identical twin remains
+//! costs, under covering and merging routing, one covering walk of the held
+//! table, and then per neighbour one subgroup lookup in each table; it
+//! clones no filter.  A broker never
 //! propagates a subscription back over the link it came from, so a second
 //! subscriber with an identical filter behind a different link still causes
-//! the subscription to be propagated in its direction — getting this wrong
-//! silently cuts delivery paths in multi-consumer deployments.)
+//! the subscription to be propagated in its direction.
 //!
 //! The routing decision itself always uses the full subscription information
 //! and is therefore exact under every strategy; the strategies only differ in
@@ -28,12 +51,9 @@
 //! *forwarded* filters are — exactly the trade-off the paper's mobility
 //! algorithms exploit ("covering and merging can be exploited, too").
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use rebeca_filter::{Filter, Notification};
-use rebeca_matcher::FilterSet;
 
 use crate::table::RoutingTable;
 
@@ -60,10 +80,21 @@ pub enum RoutingStrategyKind {
     Merging,
 }
 
+impl RoutingStrategyKind {
+    /// `true` when a held filter serves every filter it covers.
+    fn by_covering(self) -> bool {
+        matches!(self, Self::Covering | Self::Merging)
+    }
+}
+
 /// What a broker must do after processing an unsubscription.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnsubscriptionEffect<D> {
-    /// Unsubscriptions to propagate, as `(neighbour, filter)` pairs.
+    /// Subscriptions to propagate first, as `(neighbour, filter)` pairs:
+    /// what a retracted cover served and nothing else held serves.
+    pub subscribes: Vec<(D, Filter)>,
+    /// Unsubscriptions to propagate after them, as `(neighbour, filter)`
+    /// pairs.
     pub forwards: Vec<(D, Filter)>,
     /// `true` when the filter was actually found and removed locally.
     pub removed: bool,
@@ -74,10 +105,9 @@ pub struct UnsubscriptionEffect<D> {
 pub struct RoutingEngine<D> {
     kind: RoutingStrategyKind,
     table: RoutingTable<D>,
-    /// Filters this broker has already propagated to each neighbour (and not
-    /// yet retracted), reduced under the strategy's redundancy notion.  Used
-    /// to suppress duplicate administration traffic per link.
-    forwarded: BTreeMap<D, FilterSet>,
+    /// One entry `(f, n)` per `Subscribe(f)` sent to the neighbour `n` and
+    /// not yet retracted (see the module docs).
+    held: RoutingTable<D>,
 }
 
 impl<D: Ord + Clone> RoutingEngine<D> {
@@ -86,7 +116,7 @@ impl<D: Ord + Clone> RoutingEngine<D> {
         Self {
             kind,
             table: RoutingTable::new(),
-            forwarded: BTreeMap::new(),
+            held: RoutingTable::new(),
         }
     }
 
@@ -100,11 +130,11 @@ impl<D: Ord + Clone> RoutingEngine<D> {
         &self.table
     }
 
-    /// Mutable access to the underlying routing table, bypassing the
-    /// per-link propagation state: only for location-dependent filters,
-    /// which are hop-specific and carry their own control message.
-    pub fn table_mut(&mut self) -> &mut RoutingTable<D> {
-        &mut self.table
+    /// What each neighbour holds from this broker: one entry `(f, n)` per
+    /// `Subscribe(f)` sent to `n` and not retracted, and per relocation
+    /// request `n` installed (see [`RoutingEngine::note_relayed`]).
+    pub fn held(&self) -> &RoutingTable<D> {
+        &self.held
     }
 
     /// Destinations a notification must be forwarded to.
@@ -155,13 +185,43 @@ impl<D: Ord + Clone> RoutingEngine<D> {
     /// while the covered subscription lives.
     pub fn routes_from(&self, filter: &Filter, from: &D) -> bool {
         self.table.contains_entry(filter, from)
-            || (matches!(
-                self.kind,
-                RoutingStrategyKind::Covering | RoutingStrategyKind::Merging
-            ) && self
-                .table
-                .destinations_covering(filter, None)
-                .contains(from))
+            || (self.kind.by_covering()
+                && self
+                    .table
+                    .destinations_covering(filter, None)
+                    .contains(from))
+    }
+
+    /// `true` when `held(n)` holds `filter` or, under covering and merging
+    /// routing, a cover of it: what `n`'s [`RoutingEngine::routes_from`]
+    /// answers for this broker.
+    fn held_routes(&self, filter: &Filter, n: &D) -> bool {
+        self.held.contains_entry(filter, n)
+            || (self.kind.by_covering()
+                && self.held.destinations_covering(filter, None).contains(n))
+    }
+
+    /// Offers `filter` to the neighbour `n` unless a held filter serves it;
+    /// records and returns what is sent.
+    fn offer(&mut self, filter: &Filter, n: &D, out: &mut Vec<(D, Filter)>) {
+        let served = match self.kind {
+            RoutingStrategyKind::Simple => false,
+            _ => self.held_routes(filter, n),
+        };
+        if served {
+            return;
+        }
+        let sent = match self.kind {
+            RoutingStrategyKind::Merging => self
+                .held
+                .filters_for(n)
+                .into_iter()
+                .find_map(|partner| partner.try_merge(filter))
+                .unwrap_or_else(|| filter.clone()),
+            _ => filter.clone(),
+        };
+        self.held.insert(sent.clone(), n.clone());
+        out.push((n.clone(), sent));
     }
 
     /// Processes a subscription received from `from` and decides towards
@@ -175,106 +235,116 @@ impl<D: Ord + Clone> RoutingEngine<D> {
         from: D,
         neighbours: &[D],
     ) -> Vec<(D, Filter)> {
+        let mut forwards = Vec::new();
+        if self.kind != RoutingStrategyKind::Flooding {
+            for n in neighbours.iter().filter(|n| **n != from) {
+                self.offer(&filter, n, &mut forwards);
+            }
+        }
         // The table always records the precise subscription so that routing
         // stays exact and unsubscription can later remove exactly one
         // instance.
-        self.table.insert(filter.clone(), from.clone());
-
-        if self.kind == RoutingStrategyKind::Flooding {
-            return Vec::new();
-        }
-
-        let mut forwards = Vec::new();
-        for target in neighbours {
-            if *target == from {
-                continue;
-            }
-            let sent = self.forwarded.entry(target.clone()).or_default();
-            match self.kind {
-                RoutingStrategyKind::Flooding => unreachable!("handled above"),
-                RoutingStrategyKind::Simple => {
-                    sent.insert_simple(filter.clone());
-                    forwards.push((target.clone(), filter.clone()));
-                }
-                RoutingStrategyKind::Identity => {
-                    if !sent.contains(&filter) {
-                        sent.insert_simple(filter.clone());
-                        forwards.push((target.clone(), filter.clone()));
-                    }
-                }
-                RoutingStrategyKind::Covering => {
-                    if !sent.covers(&filter) {
-                        sent.insert_covering(filter.clone());
-                        forwards.push((target.clone(), filter.clone()));
-                    }
-                }
-                RoutingStrategyKind::Merging => {
-                    if !sent.covers(&filter) {
-                        sent.insert_merging(filter.clone());
-                        let cover = sent
-                            .iter()
-                            .find(|f| f.covers(&filter))
-                            .cloned()
-                            .unwrap_or_else(|| filter.clone());
-                        forwards.push((target.clone(), cover));
-                    }
-                }
-            }
-        }
+        self.table.insert(filter, from);
         forwards
     }
 
     /// Processes an unsubscription received from `from`.
     ///
-    /// The unsubscription is propagated towards a neighbour only when no
-    /// remaining subscription (from any other link) still needs the
-    /// previously propagated path.  The check is conservative: keeping a
-    /// stale upstream subscription is safe (it only costs traffic), while
-    /// retracting one that is still needed would cut a delivery path.
+    /// At each neighbour `n` other than `from`, every held filter that is
+    /// `filter` or served it is retracted when `n` now holds more copies of
+    /// it than the table has propagating identical entries from
+    /// destinations other than `n`.  What a retracted filter served and no
+    /// other held filter serves is offered to `n` again first, so the
+    /// broker sends those `Subscribe`s before the `Unsubscribe`s.
     pub fn handle_unsubscribe(
         &mut self,
         filter: &Filter,
         from: &D,
         neighbours: &[D],
     ) -> UnsubscriptionEffect<D> {
-        let removed = self.table.remove(filter, from);
-        if !removed || self.kind == RoutingStrategyKind::Flooding {
-            return UnsubscriptionEffect {
-                forwards: Vec::new(),
-                removed,
-            };
-        }
-
-        // Links whose remaining subscriptions the retracted filter still
-        // pays for, pruned through the index instead of a full table scan
-        // (identical filters cover each other, so the covered set subsumes
-        // the equality case used by simple/identity routing).
-        let dependants: Vec<D> = match self.kind {
-            RoutingStrategyKind::Covering | RoutingStrategyKind::Merging => {
-                self.table.destinations_covered_by(filter)
-            }
-            _ => self.table.destinations_with_identical(filter, None),
+        let mut effect = UnsubscriptionEffect {
+            subscribes: Vec::new(),
+            forwards: Vec::new(),
+            removed: self.table.remove(filter, from),
         };
-        let mut forwards = Vec::new();
-        for target in neighbours {
-            if target == from {
-                continue;
-            }
-            // The path from `target` towards us is still required while a
-            // remaining subscription from another link is covered by the
-            // retracted filter (identity/simple: is identical to it).
-            let still_needed = dependants.iter().any(|link| link != target);
-            if still_needed {
-                continue;
-            }
-            let sent = self.forwarded.entry(target.clone()).or_default();
-            let had_forwarded = sent.contains(filter) || sent.covers(filter);
-            if had_forwarded {
-                sent.remove(filter);
-                forwards.push((target.clone(), filter.clone()));
+        if !effect.removed || self.kind == RoutingStrategyKind::Flooding {
+            return effect;
+        }
+        // The held filters that may have served `filter`: itself and, under
+        // covering and merging, every cover of it.
+        let candidates = if self.kind.by_covering() {
+            self.held.filters_covering(filter)
+        } else {
+            vec![filter]
+        };
+        let mut retract = Vec::new();
+        for n in neighbours.iter().filter(|n| *n != from) {
+            for &h in &candidates {
+                let copies = self.held.copies(h, n);
+                let needed = self.table.propagating_from_others(h, n);
+                if copies > needed {
+                    retract.push((n.clone(), h.clone(), copies - needed));
+                }
             }
         }
-        UnsubscriptionEffect { forwards, removed }
+        for (n, h, surplus) in &retract {
+            for _ in 0..*surplus {
+                self.held.remove(h, n);
+                effect.forwards.push((n.clone(), h.clone()));
+            }
+        }
+        // Re-offers only once every retracted filter is gone, so none is
+        // served by, or merged into, a filter on its way out.
+        if self.kind.by_covering() {
+            for (n, h, _) in &retract {
+                for e in self.table.covered_propagating(h, n) {
+                    self.offer(&e, n, &mut effect.subscribes);
+                }
+            }
+        }
+        effect
+    }
+
+    /// Routes `filter` towards `towards` as a subscription arriving from
+    /// there would, but sends nothing: the caller's own request (a
+    /// relocation's `Relocate` or `Fetch`) is the propagation.  Skipped when
+    /// the table already routes it there: an identical entry or, from one
+    /// of the `neighbours`, what [`RoutingEngine::routes_from`] counts.  A
+    /// local client's node gets no such shortcut: its subscriptions are
+    /// retracted one by one.
+    pub fn route_towards(&mut self, filter: Filter, towards: D, neighbours: &[D]) {
+        let routed = if neighbours.contains(&towards) {
+            self.routes_from(&filter, &towards)
+        } else {
+            self.table.contains_entry(&filter, &towards)
+        };
+        if !routed {
+            self.table.insert(filter, towards);
+        }
+    }
+
+    /// Records a request that makes the neighbour `to` route `filter`
+    /// towards this broker (a relocation's `Relocate` or `Fetch`): `to`
+    /// installs it with [`RoutingEngine::route_towards`] unless its
+    /// [`RoutingEngine::routes_from`] already counts it, and the held table
+    /// mirrors that decision.
+    pub fn note_relayed(&mut self, filter: &Filter, to: &D) {
+        if !self.held_routes(filter, to) {
+            self.held.insert(filter.clone(), to.clone());
+        }
+    }
+
+    /// Adds the entry `(filter, from)` without propagating it, ever: for
+    /// protocols that carry their own control message from hop to hop
+    /// (location-dependent filters, which are hop-specific).
+    pub fn install(&mut self, filter: Filter, from: D) {
+        self.table.insert_silent(filter, from);
+    }
+
+    /// The reverse of [`RoutingEngine::install`]; `true` when an entry was
+    /// removed.
+    pub fn retract(&mut self, filter: &Filter, from: &D) -> bool {
+        self.table.remove_silent(filter, from)
     }
 
     /// Number of `(filter, destination)` entries in the routing table.
@@ -399,19 +469,21 @@ mod tests {
         let mut e: RoutingEngine<u32> = RoutingEngine::new(RoutingStrategyKind::Simple);
         e.handle_subscribe(parking(3), 1, LINKS);
         e.handle_subscribe(parking(3), 2, LINKS);
-        // Removing link 1's subscription: link 3 still serves link 2's
-        // identical subscription, so nothing is retracted towards link 3; the
-        // path towards link 2 itself is no longer needed for link 1... but
-        // link 2's own subscription never required a forward towards link 2,
-        // so only the forward towards link 2 that served link 1 is retracted.
+        // Simple routing sent one copy per subscription: link 2 holds link
+        // 1's, link 3 holds both.  Removing link 1's subscription retracts
+        // link 2's only copy and one of link 3's two; link 1 keeps the copy
+        // link 2's subscriber needs.
         let eff = e.handle_unsubscribe(&parking(3), &1, LINKS);
         assert!(eff.removed);
-        assert!(eff.forwards.iter().all(|(d, _)| *d == 2));
+        assert!(eff.subscribes.is_empty());
+        assert_eq!(eff.forwards, vec![(2, parking(3)), (3, parking(3))]);
+        assert_eq!(e.held().filters_for(&3), vec![&parking(3)]);
         // Removing the last instance retracts the remaining forwards.
         let eff = e.handle_unsubscribe(&parking(3), &2, LINKS);
         assert!(eff.removed);
-        assert!(!eff.forwards.is_empty());
+        assert_eq!(eff.forwards, vec![(1, parking(3)), (3, parking(3))]);
         assert_eq!(e.table_size(), 0);
+        assert!(e.held().is_empty());
     }
 
     #[test]
@@ -443,11 +515,118 @@ mod tests {
         let mut e: RoutingEngine<u32> = RoutingEngine::new(RoutingStrategyKind::Covering);
         e.handle_subscribe(parking(10), 1, LINKS);
         e.handle_subscribe(parking(3), 2, LINKS);
-        // Removing the wide filter: the narrow subscription from link 2 is
-        // still covered by it, so the forward towards link 3 must stay.
+        // Removing the wide filter: link 3 held only the cover, so it first
+        // gets the narrow subscription from link 2 the cover served, then
+        // loses the cover; FIFO leaves no gap.  Link 2 needs nothing back.
         let eff = e.handle_unsubscribe(&parking(10), &1, LINKS);
         assert!(eff.removed);
-        assert!(eff.forwards.iter().all(|(d, _)| *d != 3));
+        assert_eq!(eff.subscribes, vec![(3, parking(3))]);
+        assert_eq!(eff.forwards, vec![(2, parking(10)), (3, parking(10))]);
+        assert_eq!(e.held().filters_for(&3), vec![&parking(3)]);
+    }
+
+    /// ROADMAP Finding 12 at one broker: a cover sent after the covered
+    /// subscription goes with its own unsubscription, and the covered one
+    /// with its own.
+    #[test]
+    fn a_later_cover_is_retracted_with_its_own_unsubscription() {
+        for kind in [RoutingStrategyKind::Covering, RoutingStrategyKind::Merging] {
+            let mut e: RoutingEngine<u32> = RoutingEngine::new(kind);
+            e.handle_subscribe(parking(5), 1, LINKS);
+            e.handle_subscribe(parking(10), 1, LINKS);
+            let eff = e.handle_unsubscribe(&parking(10), &1, LINKS);
+            assert!(eff.subscribes.is_empty(), "{kind:?}");
+            assert_eq!(
+                eff.forwards,
+                vec![(2, parking(10)), (3, parking(10))],
+                "{kind:?}"
+            );
+            let eff = e.handle_unsubscribe(&parking(5), &1, LINKS);
+            assert_eq!(
+                eff.forwards,
+                vec![(2, parking(5)), (3, parking(5))],
+                "{kind:?}"
+            );
+            assert!(e.held().is_empty(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn merging_retracts_a_merger_once_nothing_it_served_remains() {
+        let mut e: RoutingEngine<u32> = RoutingEngine::new(RoutingStrategyKind::Merging);
+        e.handle_subscribe(loc(&[1]), 1, &[1, 2]);
+        e.handle_subscribe(loc(&[2]), 1, &[1, 2]);
+        // Link 2 holds {1} and the merger {1, 2}; {1} still serves {1}.
+        let eff = e.handle_unsubscribe(&loc(&[2]), &1, &[1, 2]);
+        assert!(eff.subscribes.is_empty());
+        assert_eq!(eff.forwards, vec![(2, loc(&[1, 2]))]);
+        let eff = e.handle_unsubscribe(&loc(&[1]), &1, &[1, 2]);
+        assert_eq!(eff.forwards, vec![(2, loc(&[1]))]);
+        assert!(e.held().is_empty());
+    }
+
+    /// Two held filters retracted by one unsubscription: what they served is
+    /// offered again only after both are gone, so no re-offer merges into
+    /// a filter on its way out.
+    #[test]
+    fn merging_re_offers_after_every_retraction() {
+        let mut e: RoutingEngine<u32> = RoutingEngine::new(RoutingStrategyKind::Merging);
+        let to = &[2];
+        // Free an index slot, so the merger below sorts before its partner.
+        e.handle_subscribe(parking(3), 1, to);
+        e.handle_subscribe(loc(&[2, 3]), 1, to);
+        e.handle_unsubscribe(&parking(3), &1, to);
+        // Link 2 holds {2, 3} and the merger {1, 2, 3}; {2} is served.
+        e.handle_subscribe(loc(&[1]), 1, to);
+        e.handle_subscribe(loc(&[2]), 1, to);
+        let eff = e.handle_unsubscribe(&loc(&[2, 3]), &1, to);
+        // Retracting {1, 2, 3} first and re-offering {1} at once would
+        // have merged it with {2, 3} into {1, 2, 3} again, for nobody.
+        assert_eq!(eff.subscribes, vec![(2, loc(&[1])), (2, loc(&[1, 2]))]);
+        assert_eq!(eff.forwards.len(), 2);
+        assert_eq!(e.held().filters_for(&2), vec![&loc(&[1]), &loc(&[1, 2])]);
+    }
+
+    #[test]
+    fn installed_entries_route_but_are_never_offered_or_counted() {
+        let mut e: RoutingEngine<u32> = RoutingEngine::new(RoutingStrategyKind::Identity);
+        e.install(parking(3), 1);
+        assert_eq!(e.route(&vacancy(1), None, LINKS), vec![1]);
+        // An identical subscription from link 2 is still offered to link 1
+        // and link 3: the installed entry was never sent anywhere.
+        assert_eq!(e.handle_subscribe(parking(3), 2, LINKS).len(), 2);
+        // Its unsubscription retracts both, the installed entry
+        // notwithstanding; an unsubscription cannot remove the installed
+        // entry, its retraction can.
+        let eff = e.handle_unsubscribe(&parking(3), &2, LINKS);
+        assert_eq!(eff.forwards.len(), 2);
+        assert!(!e.handle_unsubscribe(&parking(3), &1, LINKS).removed);
+        assert!(e.retract(&parking(3), &1));
+        assert_eq!(e.table_size(), 0);
+        assert!(e.held().is_empty());
+    }
+
+    #[test]
+    fn relayed_requests_are_held_where_the_receiver_installs_them() {
+        for kind in [
+            RoutingStrategyKind::Simple,
+            RoutingStrategyKind::Identity,
+            RoutingStrategyKind::Covering,
+            RoutingStrategyKind::Merging,
+        ] {
+            let mut e: RoutingEngine<u32> = RoutingEngine::new(kind);
+            e.handle_subscribe(parking(10), 1, LINKS);
+            // Link 2 holds cost < 10: it installs a relayed cost < 3 unless
+            // its `routes_from` counts the cover.
+            e.note_relayed(&parking(3), &2);
+            e.note_relayed(&parking(3), &2);
+            let held = e.held().copies(&parking(3), &2);
+            assert_eq!(held, u32::from(!kind.by_covering()), "{kind:?}");
+            // Link 1 holds nothing and installs it once.
+            e.note_relayed(&parking(3), &1);
+            e.note_relayed(&parking(3), &1);
+            assert_eq!(e.held().copies(&parking(3), &1), 1, "{kind:?}");
+        }
     }
 
     #[test]

@@ -22,8 +22,17 @@
 //! [`RoutingTable::matching_destinations`] runs the counting algorithm over
 //! subgroups instead of scanning all filters, while the covering-based queries
 //! ([`RoutingTable::destinations_covering`],
-//! [`RoutingTable::destinations_covered_by`]) run the same counting walk over
-//! deduplicated predicates in the covering domain.
+//! [`RoutingTable::filters_covering`], [`RoutingTable::covered_propagating`])
+//! run the same counting walk over deduplicated predicates in the covering
+//! domain.
+//!
+//! # Silent entries
+//!
+//! An entry inserted with [`RoutingTable::insert_silent`] routes like any
+//! other, but is not *propagating*: the routing engine never offers it to a
+//! neighbour and never counts it as a reason to keep a forwarded filter.
+//! The mark is a per-destination count inside the subgroup, so
+//! [`RoutingTable::propagating_from_others`] stays one subgroup lookup.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -36,11 +45,23 @@ use rebeca_matcher::FilterIndex;
 struct Subgroup<D> {
     /// The shared filter (stored once; entries refer to it by subgroup id).
     filter: Filter,
-    /// Reference count per destination — how many member entries point at
-    /// each link.  A destination is routed to iff its count is non-zero.
-    dests: BTreeMap<D, u32>,
+    /// Per destination, how many member entries point at it and how many of
+    /// those are silent.  A destination is routed to iff it is present.
+    dests: BTreeMap<D, (u32, u32)>,
     /// Member entry ids in insertion order.
     members: Vec<u64>,
+}
+
+impl<D: Ord> Subgroup<D> {
+    /// Propagating member entries pointing at destinations other than
+    /// `except`.
+    fn propagating_from_others(&self, except: &D) -> u32 {
+        self.dests
+            .iter()
+            .filter(|(d, _)| *d != except)
+            .map(|(_, (count, silent))| count - silent)
+            .sum()
+    }
 }
 
 /// A routing table mapping destinations (links) to the filters subscribed
@@ -96,6 +117,17 @@ impl<D: Ord + Clone> RoutingTable<D> {
 
     /// Adds an entry `(filter, destination)`.
     pub fn insert(&mut self, filter: Filter, destination: D) {
+        self.insert_entry(filter, destination, false);
+    }
+
+    /// Adds a silent entry `(filter, destination)`: routed like any other,
+    /// but never propagated by the routing engine nor counted by
+    /// [`RoutingTable::propagating_from_others`].
+    pub fn insert_silent(&mut self, filter: Filter, destination: D) {
+        self.insert_entry(filter, destination, true);
+    }
+
+    fn insert_entry(&mut self, filter: Filter, destination: D, silent: bool) {
         let id = self.next_entry;
         self.next_entry += 1;
         let sgid = match self.by_filter.get(&filter) {
@@ -117,7 +149,9 @@ impl<D: Ord + Clone> RoutingTable<D> {
             }
         };
         let sub = self.subgroups.get_mut(&sgid).expect("live subgroup");
-        *sub.dests.entry(destination.clone()).or_insert(0) += 1;
+        let refs = sub.dests.entry(destination.clone()).or_insert((0, 0));
+        refs.0 += 1;
+        refs.1 += u32::from(silent);
         sub.members.push(id);
         self.dests.entry(destination.clone()).or_default().push(id);
         self.entries.insert(id, (destination, sgid));
@@ -125,13 +159,14 @@ impl<D: Ord + Clone> RoutingTable<D> {
 
     /// Drops entry `id` from its subgroup, removing the subgroup (and its
     /// index key) when the last member is gone.  Returns the shared filter.
-    fn release_member(&mut self, sgid: u64, id: u64, dest: &D) -> Filter {
+    fn release_member(&mut self, sgid: u64, id: u64, dest: &D, silent: bool) -> Filter {
         let last = {
             let sub = self.subgroups.get_mut(&sgid).expect("live subgroup");
             sub.members.retain(|&i| i != id);
-            let count = sub.dests.get_mut(dest).expect("live destination count");
-            *count -= 1;
-            if *count == 0 {
+            let refs = sub.dests.get_mut(dest).expect("live destination count");
+            refs.0 -= 1;
+            refs.1 -= u32::from(silent);
+            if refs.0 == 0 {
                 sub.dests.remove(dest);
             }
             sub.members.is_empty()
@@ -146,35 +181,42 @@ impl<D: Ord + Clone> RoutingTable<D> {
         }
     }
 
-    fn remove_id(&mut self, id: u64) -> Option<(D, Filter)> {
-        let (dest, sgid) = self.entries.remove(&id)?;
-        if let Some(ids) = self.dests.get_mut(&dest) {
-            ids.retain(|&i| i != id);
-            if ids.is_empty() {
-                self.dests.remove(&dest);
-            }
-        }
-        let filter = self.release_member(sgid, id, &dest);
-        Some((dest, filter))
+    /// Removes **one** propagating instance of the exact filter for the
+    /// destination.  Returns `true` when an entry was removed.
+    pub fn remove(&mut self, filter: &Filter, destination: &D) -> bool {
+        self.remove_one(filter, destination, false)
     }
 
-    /// Removes **one** instance of the exact filter for the destination.
-    /// Returns `true` when an entry was removed.
-    pub fn remove(&mut self, filter: &Filter, destination: &D) -> bool {
+    /// Removes **one** silent instance of the exact filter for the
+    /// destination.  Returns `true` when an entry was removed.
+    pub fn remove_silent(&mut self, filter: &Filter, destination: &D) -> bool {
+        self.remove_one(filter, destination, true)
+    }
+
+    fn remove_one(&mut self, filter: &Filter, destination: &D, silent: bool) -> bool {
         let Some(&sgid) = self.by_filter.get(filter) else {
             return false;
         };
-        let Some(ids) = self.dests.get(destination) else {
+        let (count, quiet) = self.subgroups[&sgid]
+            .dests
+            .get(destination)
+            .copied()
+            .unwrap_or_default();
+        if (if silent { quiet } else { count - quiet }) == 0 {
             return false;
-        };
-        let found = ids.iter().find(|id| self.entries[id].1 == sgid).copied();
-        match found {
-            Some(id) => {
-                self.remove_id(id);
-                true
-            }
-            None => false,
         }
+        let ids = self.dests.get_mut(destination).expect("counted entry");
+        let pos = ids
+            .iter()
+            .position(|id| self.entries[id].1 == sgid)
+            .expect("counted entry");
+        let id = ids.remove(pos);
+        if ids.is_empty() {
+            self.dests.remove(destination);
+        }
+        self.entries.remove(&id);
+        self.release_member(sgid, id, destination, silent);
+        true
     }
 
     /// Removes every entry for the destination and returns the filters.
@@ -183,7 +225,7 @@ impl<D: Ord + Clone> RoutingTable<D> {
         ids.into_iter()
             .map(|id| {
                 let (_, sgid) = self.entries.remove(&id).expect("live entry");
-                self.release_member(sgid, id, destination)
+                self.release_member(sgid, id, destination, false)
             })
             .collect()
     }
@@ -261,19 +303,46 @@ impl<D: Ord + Clone> RoutingTable<D> {
         dests.into_iter().cloned().collect()
     }
 
-    /// The destinations holding at least one filter that `filter`
-    /// **covers** (including identical ones), via the index's exact covering
-    /// query — the mirror of [`RoutingTable::destinations_covering`].  An
-    /// unsubscription asks it which links still depend on the path the
-    /// retracted filter paid for.
-    pub fn destinations_covered_by(&self, filter: &Filter) -> Vec<D> {
-        let dests: BTreeSet<&D> = self
-            .index
+    /// The distinct stored filters that **cover** `filter` (including an
+    /// identical one), in subgroup order — one covering walk.
+    pub fn filters_covering(&self, filter: &Filter) -> Vec<&Filter> {
+        self.index
+            .covering_keys(filter)
+            .into_iter()
+            .map(|sgid| &self.subgroups[sgid].filter)
+            .collect()
+    }
+
+    /// The distinct filters **strictly** covered by `filter` that have a
+    /// propagating entry from a destination other than `except`, in
+    /// subgroup order — one covered walk.
+    pub fn covered_propagating(&self, filter: &Filter, except: &D) -> Vec<Filter> {
+        self.index
             .covered_keys(filter)
             .into_iter()
-            .flat_map(|sgid| self.subgroups[sgid].dests.keys())
-            .collect();
-        dests.into_iter().cloned().collect()
+            .map(|sgid| &self.subgroups[sgid])
+            .filter(|sub| &sub.filter != filter && sub.propagating_from_others(except) > 0)
+            .map(|sub| sub.filter.clone())
+            .collect()
+    }
+
+    /// How many entries `(filter, destination)` the table holds, silent
+    /// ones included — a single subgroup lookup.
+    pub fn copies(&self, filter: &Filter, destination: &D) -> u32 {
+        self.by_filter.get(filter).map_or(0, |sgid| {
+            self.subgroups[sgid]
+                .dests
+                .get(destination)
+                .map_or(0, |r| r.0)
+        })
+    }
+
+    /// How many propagating entries identical to `filter` the table holds
+    /// from destinations other than `except` — a single subgroup lookup.
+    pub fn propagating_from_others(&self, filter: &Filter, except: &D) -> u32 {
+        self.by_filter.get(filter).map_or(0, |sgid| {
+            self.subgroups[sgid].propagating_from_others(except)
+        })
     }
 
     /// The destinations holding at least one filter identical to `filter` —
@@ -461,15 +530,42 @@ mod tests {
     }
 
     #[test]
-    fn destinations_covered_by_lists_each_destination_once() {
+    fn silent_entries_route_but_do_not_propagate() {
         let mut t: RoutingTable<u32> = RoutingTable::new();
-        t.insert(parking(3), 2);
-        t.insert(parking(5), 2);
         t.insert(parking(3), 1);
-        t.insert(parking(20), 3);
-        assert_eq!(t.destinations_covered_by(&parking(10)), vec![1, 2]);
-        assert_eq!(t.destinations_covered_by(&parking(20)), vec![1, 2, 3]);
-        assert!(t.destinations_covered_by(&parking(2)).is_empty());
+        t.insert_silent(parking(3), 2);
+        t.insert(parking(5), 2);
+        assert_eq!(t.matching_destinations(&vacancy(1), None), vec![1, 2]);
+        assert_eq!(t.copies(&parking(3), &2), 1);
+        assert_eq!(t.propagating_from_others(&parking(3), &1), 0);
+        assert_eq!(t.propagating_from_others(&parking(3), &2), 1);
+        assert_eq!(t.covered_propagating(&parking(10), &1), vec![parking(5)]);
+        assert_eq!(
+            t.covered_propagating(&parking(10), &2),
+            vec![parking(3)],
+            "strictly covered, propagating, from another destination"
+        );
+        // A silent entry is not an unsubscription's to remove, and back.
+        assert!(!t.remove(&parking(3), &2));
+        assert!(!t.remove_silent(&parking(3), &1));
+        assert!(t.remove_silent(&parking(3), &2));
+        assert!(!t.remove_silent(&parking(3), &2));
+        assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn filters_covering_lists_each_distinct_cover_once() {
+        let mut t: RoutingTable<u32> = RoutingTable::new();
+        t.insert(parking(10), 2);
+        t.insert(parking(10), 1);
+        t.insert(parking(3), 1);
+        t.insert(parking(5), 3);
+        assert_eq!(
+            t.filters_covering(&parking(4)),
+            vec![&parking(10), &parking(5)]
+        );
+        assert_eq!(t.filters_covering(&parking(3)).len(), 3);
+        assert!(t.filters_covering(&parking(20)).is_empty());
     }
 
     #[test]

@@ -151,9 +151,10 @@ proptest! {
     /// entry list, exactly what the table was before subgrouping) across
     /// interleaved subscribe/unsubscribe churn — same `len`, same
     /// `matching_destinations`, same `destinations_covering`, same
-    /// `destinations_with_identical`, same `destinations_covered_by`, same
-    /// removal results.  Delivery-log equivalence at the system level rides the
-    /// churn/storm scenario audits in `rebeca-bench`.
+    /// `destinations_with_identical`, same `filters_covering` and
+    /// `covered_propagating`, same removal results.  Delivery-log
+    /// equivalence at the system level rides the churn/storm scenario
+    /// audits in `rebeca-bench`.
     #[test]
     fn subgrouped_table_matches_per_subscription_oracle(
         ops in prop::collection::vec((filter(), 0u8..4, any::<bool>()), 0..24),
@@ -203,13 +204,26 @@ proptest! {
                 prop_assert_eq!(table.destinations_with_identical(f, exclude), identical);
             }
 
-            // The destinations holding a filter `f` covers, each once, in
-            // ascending order in both representations.
-            let got = table.destinations_covered_by(f);
-            let mut want: Vec<u8> = oracle
+            // The distinct filters covering `f`, and the distinct filters
+            // `f` strictly covers held from a destination other than 0, as
+            // sorted sets in both representations.
+            let mut got: Vec<&Filter> = table.filters_covering(f);
+            got.sort_unstable();
+            let mut want: Vec<&Filter> = oracle
                 .iter()
-                .filter(|(of, _)| f.covers(of))
-                .map(|(_, ol)| *ol)
+                .filter(|(of, _)| of.covers(f))
+                .map(|(of, _)| of)
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            prop_assert_eq!(got, want);
+
+            let mut got = table.covered_propagating(f, &0);
+            got.sort_unstable();
+            let mut want: Vec<Filter> = oracle
+                .iter()
+                .filter(|(of, ol)| *ol != 0 && of != f && f.covers(of))
+                .map(|(of, _)| of.clone())
                 .collect();
             want.sort_unstable();
             want.dedup();
@@ -218,7 +232,7 @@ proptest! {
     }
 
     /// Subscribe followed by unsubscribe of the same script leaves the table
-    /// empty, under every strategy.
+    /// and the held table empty, under every strategy.
     #[test]
     fn unsubscribe_is_the_inverse_of_subscribe(script in subscription_script()) {
         for kind in [
@@ -236,9 +250,77 @@ proptest! {
                 prop_assert!(eff.removed, "{:?}: subscription must be found", kind);
             }
             prop_assert_eq!(engine.table_size(), 0, "{:?}: table must be empty", kind);
+            prop_assert!(engine.held().is_empty(), "{:?}: every forward must be retracted", kind);
             // After the table drained, nothing is routed anywhere.
             let n = Notification::builder().attr("cost", 1).build();
             prop_assert!(engine.route(&n, None, &LINKS).is_empty());
+        }
+    }
+
+    /// Through interleaved subscriptions and unsubscriptions, what each
+    /// neighbour holds stays exactly what it needs: every subscription from
+    /// another link is served by a held filter (no delivery gap), every
+    /// held filter covers a subscription from another link (nothing
+    /// stranded), and a notification matches a held filter exactly when it
+    /// matches a subscription from another link (no merger wider than what
+    /// it stands for).  Under simple routing the held multiset *is* the
+    /// foreign multiset; under identity routing, its set.
+    #[test]
+    fn held_filters_track_foreign_subscriptions_through_churn(
+        ops in prop::collection::vec((filter(), 0u8..4, any::<bool>()), 0..24),
+        n in notification(),
+    ) {
+        for kind in [
+            RoutingStrategyKind::Simple,
+            RoutingStrategyKind::Identity,
+            RoutingStrategyKind::Covering,
+            RoutingStrategyKind::Merging,
+        ] {
+            let mut engine: RoutingEngine<u8> = RoutingEngine::new(kind);
+            for (f, l, subscribe) in &ops {
+                if *subscribe {
+                    engine.handle_subscribe(f.clone(), *l, &LINKS);
+                } else {
+                    engine.handle_unsubscribe(f, l, &LINKS);
+                }
+                for target in LINKS {
+                    let mut foreign: Vec<&Filter> = engine
+                        .table()
+                        .iter()
+                        .filter(|(l, _)| **l != target)
+                        .map(|(_, f)| f)
+                        .collect();
+                    let mut held = engine.held().filters_for(&target);
+                    foreign.sort_unstable();
+                    held.sort_unstable();
+                    prop_assert_eq!(
+                        held.iter().any(|h| h.matches(&n)),
+                        foreign.iter().any(|f| f.matches(&n)),
+                        "{:?}: held towards link {} routes {} differently", kind, target, n
+                    );
+                    match kind {
+                        RoutingStrategyKind::Simple => prop_assert_eq!(&held, &foreign),
+                        RoutingStrategyKind::Identity => {
+                            foreign.dedup();
+                            prop_assert_eq!(&held, &foreign);
+                        }
+                        _ => {
+                            for f in &foreign {
+                                prop_assert!(
+                                    held.iter().any(|h| h.covers(f)),
+                                    "{:?}: {} is not served towards link {}", kind, f, target
+                                );
+                            }
+                            for h in &held {
+                                prop_assert!(
+                                    foreign.iter().any(|f| h.covers(f)),
+                                    "{:?}: {} is stranded at link {}", kind, h, target
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

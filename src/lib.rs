@@ -21,10 +21,10 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`filter`] | `rebeca-filter` | notifications, content-based filters, covering/merging, `myloc` templates |
-//! | [`matcher`] | `rebeca-matcher` | attribute-partitioned predicate index: counting matcher, covering candidates, `FilterSet` |
+//! | [`matcher`] | `rebeca-matcher` | attribute-partitioned predicate index: counting matcher, exact covering queries |
 //! | [`location`] | `rebeca-location` | location spaces, movement graphs, `ploc`, adaptivity plans |
 //! | [`obs`] | `rebeca-obs` | observability core: log2 latency histograms, bounded event journals, status reports |
-//! | [`routing`] | `rebeca-routing` | index-backed routing tables and the flooding/simple/identity/covering/merging strategies |
+//! | [`routing`] | `rebeca-routing` | index-backed routing tables and the flooding/simple/identity/covering/merging strategies, one propagation rule over what each neighbour holds |
 //! | [`sim`] | `rebeca-sim` | deterministic discrete-event simulator (FIFO links, delays, metrics, topologies) |
 //! | [`broker`] | `rebeca-broker` | the static Rebeca broker, message vocabulary, sequence numbering, delivery logs |
 //! | [`retain`] | `rebeca-retain` | segment-rotated retained-publication store answering time-window fetches |
@@ -147,7 +147,7 @@ pub use rebeca_core::{
 };
 pub use rebeca_filter::{Constraint, Filter, LocationDependentFilter, Notification, Value};
 pub use rebeca_location::{AdaptivityPlan, Itinerary, LocationId, LocationSpace, MovementGraph};
-pub use rebeca_matcher::{FilterIndex, FilterSet};
+pub use rebeca_matcher::FilterIndex;
 pub use rebeca_net::{ClusterConfig, Endpoint, NetConfig, SystemBuilderTcp, TcpDriver};
 pub use rebeca_obs::{BrokerStatus, EventJournal, Histogram, LinkStatus, ObsEvent, StatusReport};
 pub use rebeca_retain::{RetainedPublication, RetentionConfig, RetentionStore};
