@@ -259,9 +259,9 @@ impl BrokerCore {
     }
 
     /// Installs a subscription of an attached client without propagating
-    /// it (crash recovery re-creates what the log says was there; a
-    /// relocation's `Relocate` is its propagation): the client holds
-    /// `filter` afterwards — appended to its subscriptions unless already
+    /// it (a restart's resync offers a recovered one; a relocation's
+    /// `Relocate` is its propagation): the client holds `filter`
+    /// afterwards — appended to its subscriptions unless already
     /// held — and the routing table routes `filter` towards the client's
     /// node, with one entry however often this is called (see
     /// [`BrokerCore::route_towards`]).  Does nothing for a client that is
@@ -276,9 +276,9 @@ impl BrokerCore {
 
     /// Routes `filter` towards `towards` as a subscription arriving from
     /// `towards` would, but sends nothing: the caller's own message (a
-    /// relocation's `Relocate` or `Fetch`) is the propagation, and crash
-    /// recovery has none.  Skipped when the table already routes it there
-    /// (see [`RoutingEngine::route_towards`]).
+    /// relocation's `Relocate` or `Fetch`) is the propagation, and a
+    /// restart has its resync ([`BrokerCore::resync`]).  Skipped when the
+    /// table already routes it there (see [`RoutingEngine::route_towards`]).
     pub fn route_towards(&mut self, filter: Filter, towards: NodeId) {
         self.engine
             .route_towards(filter, towards, &self.broker_links);
@@ -477,6 +477,46 @@ impl BrokerCore {
         subscribes.chain(unsubscribes).collect()
     }
 
+    /// The `Resync` for the neighbouring broker `to`: what this broker
+    /// holds as sent there, recomputed ([`RoutingEngine::resync`]).  A
+    /// restarted broker sends one to each neighbour with `answer` set.
+    pub fn resync(&mut self, to: NodeId, answer: bool) -> (NodeId, Message) {
+        let filters = self.engine.resync(&to);
+        (to, Message::Resync { filters, answer })
+    }
+
+    /// A neighbouring broker's `Resync`: its propagating entries here
+    /// become exactly what it `held`, as multisets, through
+    /// [`BrokerCore::handle_subscribe`] and
+    /// [`BrokerCore::handle_unsubscribe`], so the other neighbours hear
+    /// only the difference (sent for the default client id: a resync names
+    /// no subscriber).  With `answer` set, the sender gets this broker's.
+    pub fn handle_resync(&mut self, held: Vec<Filter>, answer: bool, from: NodeId) -> Outgoing {
+        // Per filter: copies the sender holds minus entries from it here.
+        let mut surplus: BTreeMap<Filter, i64> = BTreeMap::new();
+        let entries = self.engine.table().propagating().into_iter();
+        let here = entries.filter(|(d, _)| *d == from).map(|(_, f)| (f, -1));
+        for (filter, n) in held.into_iter().map(|f| (f, 1)).chain(here) {
+            *surplus.entry(filter).or_default() += n;
+        }
+        let subscriber = ClientId::default();
+        let mut out = Vec::new();
+        for (filter, &n) in &surplus {
+            for _ in 0..n {
+                out.extend(self.handle_subscribe(subscriber, filter.clone(), from));
+            }
+        }
+        for (filter, n) in surplus {
+            for _ in n..0 {
+                out.extend(self.handle_unsubscribe(subscriber, filter.clone(), from));
+            }
+        }
+        if answer {
+            out.push(self.resync(from, false));
+        }
+        out
+    }
+
     /// A local client publishes a notification.  The border broker assigns
     /// the per-publisher sequence number and routes the resulting envelope.
     pub fn handle_publish(
@@ -611,7 +651,8 @@ impl BrokerCore {
     /// Dispatches a raw [`Message`] to the appropriate handler.  Mobility
     /// control messages are **not** handled here (the static broker does not
     /// understand them); they are returned as `Err` so the caller — the
-    /// mobility-aware broker of `rebeca-core` — can process them.
+    /// mobility-aware broker of `rebeca-core` — can process them.  So is a
+    /// `Resync` from a node that is not a neighbouring broker.
     pub fn handle_message(&mut self, from: NodeId, message: Message) -> Result<Outgoing, Message> {
         match message {
             Message::Attach { client } => Ok(self.handle_attach(client, from)),
@@ -626,6 +667,9 @@ impl BrokerCore {
             }
             Message::Unsubscribe { subscriber, filter } => {
                 Ok(self.handle_unsubscribe(subscriber, filter, from))
+            }
+            Message::Resync { filters, answer } if self.broker_links.contains(&from) => {
+                Ok(self.handle_resync(filters, answer, from))
             }
             other => Err(other),
         }

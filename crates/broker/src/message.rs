@@ -164,6 +164,16 @@ pub enum Message {
         /// The buffered deliveries, in increasing sequence order.
         deliveries: Vec<Delivery>,
     },
+    /// Everything the sending broker holds as sent to the receiving one,
+    /// whose entries from the sender become exactly `filters`.  A restarted
+    /// broker sends one on each broker link with `answer` set, and each
+    /// neighbour replies with its own: routing state is soft state.
+    Resync {
+        /// The filters the receiver holds from the sender, as a multiset.
+        filters: Vec<Filter>,
+        /// `true` when the receiver must reply with its own set.
+        answer: bool,
+    },
 
     // ------------------------------------------------------------------
     // Time-aware subscriptions: retained-history replay
@@ -274,6 +284,7 @@ impl Message {
             Message::Relocate { .. } => "relocate",
             Message::Fetch { .. } => "fetch",
             Message::Replay { .. } => "replay",
+            Message::Resync { .. } => "resync",
             Message::SubscribeSince { .. } => "subscribe_since",
             Message::HistoryFetch { .. } => "history_fetch",
             Message::HistoryReplay { .. } => "history_replay",
@@ -300,6 +311,7 @@ impl Message {
             Message::Relocate { .. } => "broker.rx.relocate",
             Message::Fetch { .. } => "broker.rx.fetch",
             Message::Replay { .. } => "broker.rx.replay",
+            Message::Resync { .. } => "broker.rx.resync",
             Message::SubscribeSince { .. } => "broker.rx.subscribe_since",
             Message::HistoryFetch { .. } => "broker.rx.history_fetch",
             Message::HistoryReplay { .. } => "broker.rx.history_replay",
@@ -340,6 +352,7 @@ impl Message {
             Message::Relocate { .. } => "broker.tx.relocate",
             Message::Fetch { .. } => "broker.tx.fetch",
             Message::Replay { .. } => "broker.tx.replay",
+            Message::Resync { .. } => "broker.tx.resync",
             Message::SubscribeSince { .. } => "broker.tx.subscribe_since",
             Message::HistoryFetch { .. } => "broker.tx.history_fetch",
             Message::HistoryReplay { .. } => "broker.tx.history_replay",

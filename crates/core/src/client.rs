@@ -181,11 +181,6 @@ impl ClientNode {
         self.id
     }
 
-    /// Number of scripted actions.
-    pub fn script_len(&self) -> usize {
-        self.script.len()
-    }
-
     /// The delivery log recorded so far.
     pub fn log(&self) -> &ConsumerLog {
         &self.log

@@ -68,6 +68,9 @@ pub const HANDOFF_LATENCY_HISTOGRAM: &str = "mobility.handoff_latency_micros";
 /// collides).
 const LEASE_SWEEP_TIMER_TAG: u64 = u64::MAX - 1;
 
+/// Timer tag on which a restarted broker sends its `Resync`s.
+pub(crate) const RESYNC_TIMER_TAG: u64 = u64::MAX;
+
 /// History-session gather timers count up from here.  Relocation timeout
 /// tags are `generation << 32 | counter` and a broker would need four
 /// billion incarnations to reach this range.
@@ -316,11 +319,14 @@ impl MobileBroker {
     }
 
     /// Restarts a broker from its write-ahead handoff log: the machine and
-    /// the mobility-relevant parts of the static broker (disconnected
-    /// client records, their routing entries, sequence watermarks, buffered
-    /// counterparts) are reconstructed exactly.  Returns the broker plus
-    /// the timer tags of recovered relocation holdings; the caller must
-    /// re-arm each with the configured relocation timeout.
+    /// the consumer-side parts of the static broker (recovered client
+    /// records, their subscriptions, sequence watermarks, buffered
+    /// counterparts) are reconstructed exactly; every other route is
+    /// re-learnt from the neighbours ([`BrokerCore::resync`]).  Returns the
+    /// broker plus the timer tags of recovered relocation holdings; the
+    /// caller must re-arm each with the configured relocation timeout, and
+    /// fire the resync timer at the restart, as
+    /// [`crate::MobilitySystem::crash_and_restart_broker`] does.
     pub fn recover(
         id: NodeId,
         role: BrokerRole,
@@ -656,7 +662,7 @@ impl MobileBroker {
     }
 
     /// Journals a relocation-protocol control message (old-broker side of
-    /// the hand-off: Relocate repoints routing, Fetch starts the replay).
+    /// the hand-off: Relocate re-points routing, Fetch starts the replay).
     fn note_control(
         &mut self,
         kind: &'static str,
@@ -1375,6 +1381,13 @@ impl Node for MobileBroker {
                 tag: LEASE_SWEEP_TIMER_TAG,
             } => {
                 out = self.sweep_leases(ctx);
+            }
+            Incoming::Timer {
+                tag: RESYNC_TIMER_TAG,
+            } => {
+                for link in self.core.broker_links().to_vec() {
+                    out.push(self.core.resync(link, true));
+                }
             }
             Incoming::Timer { tag } if tag >= HISTORY_TIMER_BASE => {
                 out = self.close_history_session(tag, ctx);

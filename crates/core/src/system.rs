@@ -34,7 +34,7 @@ use rebeca_sim::{
 use crate::client::{ClientAction, ClientNode, LogicalMobilityMode};
 use crate::driver::{Driver, SimDriver};
 use crate::error::RebecaError;
-use crate::mobile_broker::{BrokerConfig, MobileBroker};
+use crate::mobile_broker::{BrokerConfig, MobileBroker, RESYNC_TIMER_TAG};
 use crate::session::Session;
 use crate::threaded::ThreadedDriver;
 
@@ -241,14 +241,6 @@ impl MobilitySystem {
     /// for constructing a system.
     pub fn builder(topology: &Topology) -> SystemBuilder {
         SystemBuilder::new(topology)
-    }
-
-    /// Sets the delay model used for client ↔ broker links created by
-    /// subsequent [`MobilitySystem::connect`] /
-    /// [`MobilitySystem::add_client`] calls (defaults to the broker link
-    /// delay).
-    pub fn set_client_link_delay(&mut self, delay: DelayModel) {
-        self.client_link_delay = delay;
     }
 
     /// The driver node of broker `index` (the topology numbering).
@@ -484,13 +476,17 @@ impl MobilitySystem {
 
     /// Crashes broker `index` and immediately restarts it from its
     /// write-ahead handoff log, as a quickly rebooting process would: every
-    /// in-memory state of the broker is discarded, then the mobility-relevant
-    /// state (virtual counterparts, disconnected client records, sequence
-    /// watermarks, routing re-points, unresolved relocation holdings) is
-    /// reconstructed from the surviving log.  Links and in-flight messages
-    /// addressed to the broker are untouched; recovered relocation holdings
-    /// get their timeout re-armed from the current time.  Returns the
-    /// crashed broker state (e.g. for post-mortem assertions).
+    /// in-memory state of the broker is discarded, then the consumer-side
+    /// state (virtual counterparts, recovered client records and their
+    /// subscriptions, sequence watermarks, unresolved relocation holdings)
+    /// is reconstructed from the surviving log.  Links and in-flight
+    /// messages addressed to the broker are untouched; recovered relocation
+    /// holdings get their timeout re-armed from the current time.  Routing
+    /// state is soft: a timer at the current time makes the restarted
+    /// broker send a `Resync` on every broker link, and each neighbour
+    /// replaces what it holds from it and answers with what it holds as
+    /// sent to it.  Returns the crashed broker state (e.g. for post-mortem
+    /// assertions).
     pub fn crash_and_restart_broker(&mut self, index: usize) -> Result<MobileBroker, RebecaError> {
         let node_id = self.broker_node(index)?;
         let (role, links, config) = match self.driver.node(node_id) {
@@ -518,6 +514,7 @@ impl MobilitySystem {
         for tag in recovered_tags {
             self.driver.schedule_timer(node_id, rearm_at, tag);
         }
+        self.driver.schedule_timer(node_id, now, RESYNC_TIMER_TAG);
         self.driver.metrics_mut().incr("mobility.broker_restart");
         Ok(old)
     }

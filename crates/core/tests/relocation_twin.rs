@@ -3,12 +3,17 @@
 //! border broker, subscribe at the new one" would.
 //!
 //! Two simulators run the same random script in lockstep: subscribe,
-//! unsubscribe and `move_to` over the filters `cost < {3, 5, 10}` (a
+//! unsubscribe, `move_to` and broker restarts over the filters
+//! `cost < {3, 5, 10}` (a
 //! covering chain) and `location in {2}, {1, 2}, {2, 3}` (sets that
 //! perfect merging unions), on `line(4)`, `star(3)` and `figure5()` under
 //! Simple, Identity, Covering and Merging routing. The twin replaces every
 //! move with exactly that: unsubscribe everything at the old broker, move,
-//! subscribe everything at the new one. After every step, once the network
+//! subscribe everything at the new one. A restart crashes a broker that
+//! hosts no client and restarts it from its log in the system under test
+//! only: routing state is soft state, re-learnt from the neighbours, so the
+//! twin that never crashed is still the reference. After every step, once
+//! the network
 //! is quiet, each broker's routing decision for probes of every cost and
 //! location is checked on every broker link, and each broker's entries
 //! against its neighbours:
@@ -20,8 +25,8 @@
 //! - in both systems, against what each neighbour holds: a broker's entries
 //!   from a neighbouring broker are, as a multiset, exactly the filters that
 //!   neighbour's engine holds as sent to it (its `held()` table), so no
-//!   `Subscribe`, `Unsubscribe`, `Relocate` or `Fetch` left an entry the
-//!   sender does not know about.
+//!   `Subscribe`, `Unsubscribe`, `Relocate`, `Fetch` or `Resync` left an
+//!   entry the sender does not know about.
 //!
 //! The twin unsubscribes and re-subscribes in the order the client keeps
 //! its subscriptions, the order its `ReSubscribe`s relocate them in. Moves
@@ -31,8 +36,11 @@
 //! with the last subscription it served, whether a subscription or a
 //! relocation put it there.
 
+mod common;
+
 use std::collections::BTreeSet;
 
+use common::check_held;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rebeca_broker::ClientId;
@@ -86,6 +94,8 @@ enum Op {
     Subscribe(usize, usize),
     Unsubscribe(usize, usize),
     Move(usize, usize),
+    /// Crash and restart a broker that hosts no client, in `ours` only.
+    Restart(usize),
 }
 
 /// Where each client is attached and what it holds, in the order the
@@ -115,13 +125,19 @@ fn draw(rng: &mut StdRng, clients: &[Client], brokers: usize) -> Op {
     loop {
         let c = rng.gen_range(0..CLIENTS);
         let f = rng.gen_range(0..FILTERS.len());
-        match rng.gen_range(0..3u32) {
+        match rng.gen_range(0..4u32) {
             0 if !clients[c].filters.contains(&f) => return Op::Subscribe(c, f),
             1 if clients[c].filters.contains(&f) => return Op::Unsubscribe(c, f),
             2 => {
                 let to = rng.gen_range(0..brokers);
                 if to != clients[c].broker {
                     return Op::Move(c, to);
+                }
+            }
+            3 => {
+                let b = rng.gen_range(0..brokers);
+                if clients.iter().all(|c| c.broker != b) {
+                    return Op::Restart(b);
                 }
             }
             _ => {}
@@ -162,6 +178,9 @@ fn apply(
                 sessions[c].subscribe(twin, filter(f)).unwrap();
             }
             clients[c].broker = to;
+        }
+        Op::Restart(b) => {
+            ours.crash_and_restart_broker(b).unwrap();
         }
     }
     settle(ours);
@@ -223,38 +242,6 @@ fn check_routes(
         }
     }
     Ok(())
-}
-
-/// Checks that every broker's entries from each neighbouring broker are
-/// what that neighbour holds as sent to it.
-fn check_held(sys: &MobilitySystem) -> Result<(), String> {
-    let nodes: Vec<NodeId> = (0..sys.broker_count())
-        .map(|b| sys.broker_node(b).unwrap())
-        .collect();
-    for (b, &node) in nodes.iter().enumerate() {
-        let core = sys.broker(b).unwrap().core();
-        for link in core.broker_links() {
-            let m = nodes.iter().position(|n| n == link).unwrap();
-            let mut entries = core.engine().table().filters_for(link);
-            let neighbour = sys.broker(m).unwrap().core();
-            let mut held = neighbour.engine().held().filters_for(&node);
-            entries.sort_unstable();
-            held.sort_unstable();
-            if entries != held {
-                return Err(format!(
-                    "broker {b} holds {} from broker {m}, which holds {} as sent",
-                    list(&entries),
-                    list(&held)
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn list(filters: &[&Filter]) -> String {
-    let shown: Vec<String> = filters.iter().map(|f| f.to_string()).collect();
-    format!("[{}]", shown.join(", "))
 }
 
 /// Every check of one quiet point, in both systems.

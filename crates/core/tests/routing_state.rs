@@ -23,6 +23,14 @@
 //! 14): a cover sent after the subscription it covers is retracted with its
 //! own unsubscription under Covering and Merging, and Simple routing's one
 //! copy per subscriber is retracted one copy per unsubscriber.
+//!
+//! Five restart cases on `line(3)` pin that routing state is soft state: a
+//! restarted broker keeps only consumer-side state from its log and
+//! re-learns every route from its neighbours (`Resync`), so after each
+//! settle every broker's entries from a neighbour are what that neighbour
+//! holds as sent to it.
+
+mod common;
 
 use rebeca_broker::ClientId;
 use rebeca_core::{BrokerConfig, MobilitySystem, Session, SystemBuilder};
@@ -263,4 +271,146 @@ fn simple_routing_retracts_one_copy_per_unsubscription() {
     settle(&mut sys);
     assert_eq!(routing_entries(&sys), vec![0, 0, 0]);
     assert_eq!(link_notifications(&mut sys, producer, 0, 5), 0);
+}
+
+/// Runs the network quiet, then checks that every broker's entries from a
+/// neighbour are what that neighbour holds as sent to it.
+fn settle_held(sys: &mut MobilitySystem) {
+    settle(sys);
+    if let Err(e) = common::check_held(sys) {
+        panic!("{e}");
+    }
+}
+
+/// `line(3)` with 5 ms links under `strategy`: a consumer subscribed to
+/// [`parking`] at broker `consumer_at`, and a producer at broker
+/// `producer_at`.
+fn restart_line(
+    strategy: RoutingStrategyKind,
+    consumer_at: usize,
+    producer_at: usize,
+) -> (MobilitySystem, Session, Session) {
+    let mut sys = SystemBuilder::new(&Topology::line(3))
+        .strategy(strategy)
+        .link_delay(DelayModel::constant_millis(5))
+        .seed(1)
+        .build()
+        .unwrap();
+    let consumer = sys.connect(ClientId::new(1), consumer_at).unwrap();
+    let producer = sys.connect(ClientId::new(2), producer_at).unwrap();
+    consumer.subscribe(&mut sys, parking()).unwrap();
+    settle_held(&mut sys);
+    (sys, consumer, producer)
+}
+
+/// The consumer at broker 0 and the producer at broker 2: 3 publications,
+/// a restart of broker `restarted`, 3 more.  Returns the consumer's log
+/// length, whether it is clean, and the entries at the end.
+fn restart_between_bursts(
+    strategy: RoutingStrategyKind,
+    restarted: usize,
+) -> (usize, bool, Vec<usize>) {
+    let (mut sys, consumer, producer) = restart_line(strategy, 0, 2);
+    link_notifications(&mut sys, producer, 0, 3);
+    sys.crash_and_restart_broker(restarted).unwrap();
+    settle_held(&mut sys);
+    link_notifications(&mut sys, producer, 3, 3);
+    common::check_held(&sys).unwrap();
+    let log = consumer.log(&sys).unwrap();
+    (log.len(), log.is_clean(), routing_entries(&sys))
+}
+
+/// Finding 2(a), transit broker: a restart of broker 1 between two bursts
+/// lost the second burst (3 of 6, entries `[1, 0, 1]`).  The restarted
+/// broker re-learns its route from broker 0, and broker 2 replaces what it
+/// held from broker 1's old incarnation.
+#[test]
+fn a_restarted_transit_broker_relearns_its_routes() {
+    for strategy in STRATEGIES {
+        let (delivered, clean, entries) = restart_between_bursts(strategy, 1);
+        assert_eq!(delivered, 6, "{strategy:?}");
+        assert!(clean, "{strategy:?}");
+        assert_eq!(entries, vec![1, 1, 1], "{strategy:?}");
+    }
+}
+
+/// Finding 2(a), the producer's border broker: a restart of broker 2 lost
+/// the second burst too (3 of 6).  Now all 6 arrive, but the log is not
+/// clean: the restarted border broker numbers the producer's
+/// `publisher_seq` from 1 again (Finding 1, which direction 9's publisher
+/// identity mends).
+#[test]
+fn a_restarted_producer_border_relearns_its_routes_but_renumbers_its_publisher() {
+    for strategy in STRATEGIES {
+        let (delivered, clean, entries) = restart_between_bursts(strategy, 2);
+        assert_eq!(delivered, 6, "{strategy:?}");
+        assert!(
+            !clean,
+            "{strategy:?}: publisher_seq restarts at 1 (Finding 1)"
+        );
+        assert_eq!(entries, vec![1, 1, 1], "{strategy:?}");
+    }
+}
+
+/// Finding 2(b): transit broker 1 restarts after the consumer at broker 0
+/// subscribed, then the consumer unsubscribes.  The tables ended at
+/// `[0, 0, 1]`: broker 1 had no entry to remove, so broker 2 kept the one
+/// from broker 1 forever.  Now broker 1 has re-learnt it and retracts it.
+#[test]
+fn an_unsubscription_after_a_transit_restart_clears_the_network() {
+    for strategy in STRATEGIES {
+        let (mut sys, consumer, _producer) = restart_line(strategy, 0, 2);
+        sys.crash_and_restart_broker(1).unwrap();
+        settle_held(&mut sys);
+        consumer.unsubscribe(&mut sys, parking()).unwrap();
+        settle_held(&mut sys);
+        assert_eq!(routing_entries(&sys), vec![0, 0, 0], "{strategy:?}");
+    }
+}
+
+/// Finding 16: a consumer at broker 0 subscribes, moves to broker 2 and
+/// unsubscribes, which empties every table; a restart of broker 0 then
+/// re-installed the journaled re-point (`[1, 0, 0]`), and 5 publications
+/// from a producer at broker 0 crossed 5 links to nobody.  The log keeps
+/// no routing state now, so the restart leaves the tables empty.
+#[test]
+fn a_restart_resurrects_no_torn_down_relocation_path() {
+    for strategy in STRATEGIES {
+        let (mut sys, consumer, producer) = restart_line(strategy, 0, 0);
+        consumer.move_to(&mut sys, 2).unwrap();
+        settle_held(&mut sys);
+        consumer.unsubscribe(&mut sys, parking()).unwrap();
+        settle_held(&mut sys);
+        assert_eq!(routing_entries(&sys), vec![0, 0, 0], "{strategy:?}");
+        sys.crash_and_restart_broker(0).unwrap();
+        settle_held(&mut sys);
+        assert_eq!(routing_entries(&sys), vec![0, 0, 0], "{strategy:?}");
+        assert_eq!(
+            link_notifications(&mut sys, producer, 0, 5),
+            0,
+            "{strategy:?}"
+        );
+    }
+}
+
+/// The one case the journaled re-points served: the consumer at broker 1
+/// moves to broker 0 with the producer at broker 2, and the old border
+/// broker 1 restarts after its commit.  It re-learns the relocated path
+/// from broker 0, so all 6 publications arrive, in order.
+#[test]
+fn a_restarted_old_border_relearns_the_relocated_path() {
+    for strategy in STRATEGIES {
+        let (mut sys, consumer, producer) = restart_line(strategy, 1, 2);
+        consumer.move_to(&mut sys, 0).unwrap();
+        settle_held(&mut sys);
+        link_notifications(&mut sys, producer, 0, 3);
+        sys.crash_and_restart_broker(1).unwrap();
+        settle_held(&mut sys);
+        link_notifications(&mut sys, producer, 3, 3);
+        common::check_held(&sys).unwrap();
+        let log = consumer.log(&sys).unwrap();
+        assert_eq!(log.len(), 6, "{strategy:?}");
+        assert!(log.is_clean(), "{strategy:?}");
+        assert_eq!(routing_entries(&sys), vec![1, 1, 1], "{strategy:?}");
+    }
 }

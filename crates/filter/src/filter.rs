@@ -131,12 +131,6 @@ impl Filter {
         })
     }
 
-    /// Identity on the constraint structure: `true` when both filters
-    /// constrain the same attributes with equal constraints.
-    pub fn is_identical(&self, other: &Filter) -> bool {
-        self == other
-    }
-
     /// Attempts a *perfect merge* of two filters (Mühl-style merging used by
     /// Rebeca's merging routing strategy).
     ///

@@ -26,16 +26,16 @@
 //! Recovery guarantees exact counterpart reconstruction at the *old* border
 //! broker (the paper's buffering side): the disconnected client record, its
 //! subscription, the routing entry towards the client link, the
-//! per-stream sequence watermark, every buffered delivery, and the
-//! delivery-path re-points of already-committed relocations (carried
-//! through checkpoint compaction).  At the *new* border broker a recovered
-//! holding reconstructs the attached client and re-arms its relocation
-//! timeout, so a replay arriving after the restart still merges; only
-//! fresh envelopes held back before the crash are not persisted (see
-//! ROADMAP follow-ups for held-envelope journalling).  Each recovery also
-//! stamps a fresh restart generation into the log: timeout tags are
-//! namespaced per generation, so timers armed by a crashed incarnation can
-//! never alias a guard of the restarted one.
+//! per-stream sequence watermark and every buffered delivery.  The log
+//! carries no other routing state: a restarted broker re-learns its routes
+//! from what each neighbour holds as sent to it.  At the *new* border
+//! broker a recovered holding reconstructs the attached client and re-arms
+//! its relocation timeout, so a replay arriving after the restart still
+//! merges; only fresh envelopes held back before the crash are not
+//! persisted (see ROADMAP follow-ups for held-envelope journalling).  Each
+//! recovery also stamps a fresh restart generation into the log: timeout
+//! tags are namespaced per generation, so timers armed by a crashed
+//! incarnation can never alias a guard of the restarted one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -310,14 +310,12 @@ pub enum WalRecord {
         last_seq: u64,
     },
     /// This (old border) broker replayed and garbage collected the
-    /// counterpart; the delivery path was re-pointed towards `towards`.
+    /// counterpart.
     RelocationCommit {
         /// The relocated client.
         client: ClientId,
         /// The relocated subscription.
         filter: Filter,
-        /// The link the delivery path was re-pointed to.
-        towards: NodeId,
     },
     /// This (new border) broker resolved its holding buffer (replay merged
     /// in, or flushed by the relocation timeout).
@@ -334,10 +332,6 @@ pub enum WalRecord {
         streams: Vec<StreamSnapshot>,
         /// All unresolved holdings.
         holdings: Vec<HoldingSnapshot>,
-        /// Routing re-points of committed relocations (compaction must not
-        /// drop them: the restarted broker re-installs these entries so
-        /// post-commit traffic keeps flowing to relocated clients).
-        repoints: Vec<(Filter, NodeId)>,
         /// Restart generation watermark (see [`WalRecord::Epoch`]).
         generation: u64,
     },
@@ -368,10 +362,6 @@ pub struct RecoveredState {
     pub streams: Vec<StreamSnapshot>,
     /// Unresolved relocation holdings at the time of the crash.
     pub holdings: Vec<HoldingSnapshot>,
-    /// Routing re-points from committed relocations (`(filter, towards)`):
-    /// the restarted broker re-inserts these so post-commit traffic keeps
-    /// flowing towards the client's new location.
-    pub repoints: Vec<(Filter, NodeId)>,
     /// Highest restart generation observed in the log.
     pub generation: u64,
     /// Number of records successfully replayed.
@@ -429,15 +419,10 @@ impl WalRecord {
                 put_filter(&mut buf, filter);
                 put_u64(&mut buf, *last_seq);
             }
-            WalRecord::RelocationCommit {
-                client,
-                filter,
-                towards,
-            } => {
+            WalRecord::RelocationCommit { client, filter } => {
                 put_u8(&mut buf, TAG_RELOCATION_COMMIT);
                 put_u32(&mut buf, client.raw());
                 put_filter(&mut buf, filter);
-                put_node(&mut buf, *towards);
             }
             WalRecord::ReplayAck { client, filter } => {
                 put_u8(&mut buf, TAG_REPLAY_ACK);
@@ -447,7 +432,6 @@ impl WalRecord {
             WalRecord::Checkpoint {
                 streams,
                 holdings,
-                repoints,
                 generation,
             } => {
                 put_u8(&mut buf, TAG_CHECKPOINT);
@@ -469,11 +453,6 @@ impl WalRecord {
                     put_node(&mut buf, h.client_node);
                     put_filter(&mut buf, &h.filter);
                     put_u64(&mut buf, h.last_seq);
-                }
-                put_u32(&mut buf, repoints.len() as u32);
-                for (filter, towards) in repoints {
-                    put_filter(&mut buf, filter);
-                    put_node(&mut buf, *towards);
                 }
                 put_u64(&mut buf, *generation);
             }
@@ -522,7 +501,6 @@ impl WalRecord {
             TAG_RELOCATION_COMMIT => WalRecord::RelocationCommit {
                 client: ClientId::new(r.u32()?),
                 filter: r.filter()?,
-                towards: r.node()?,
             },
             TAG_REPLAY_ACK => WalRecord::ReplayAck {
                 client: ClientId::new(r.u32()?),
@@ -561,16 +539,10 @@ impl WalRecord {
                         last_seq: r.u64()?,
                     });
                 }
-                let n_repoints = r.u32()? as usize;
-                let mut repoints = Vec::with_capacity(n_repoints.min(1024));
-                for _ in 0..n_repoints {
-                    repoints.push((r.filter()?, r.node()?));
-                }
                 let generation = r.u64()?;
                 WalRecord::Checkpoint {
                     streams,
                     holdings,
-                    repoints,
                     generation,
                 }
             }
@@ -720,13 +692,11 @@ impl HandoffLog {
         &mut self,
         streams: Vec<StreamSnapshot>,
         holdings: Vec<HoldingSnapshot>,
-        repoints: Vec<(Filter, NodeId)>,
         generation: u64,
     ) {
         let record = WalRecord::Checkpoint {
             streams,
             holdings,
-            repoints,
             generation,
         };
         self.backend
@@ -857,15 +827,11 @@ impl HandoffLog {
                     last_seq,
                 });
             }
-            WalRecord::RelocationCommit {
-                client,
-                filter,
-                towards,
-            } => {
+            WalRecord::RelocationCommit { client, filter }
+            | WalRecord::StreamExpired { client, filter } => {
                 state
                     .streams
                     .retain(|s| !(s.client == client && s.filter == filter));
-                state.repoints.push((filter, towards));
             }
             WalRecord::ReplayAck { client, filter } => {
                 state
@@ -875,21 +841,14 @@ impl HandoffLog {
             WalRecord::Checkpoint {
                 streams,
                 holdings,
-                repoints,
                 generation,
             } => {
                 state.streams = streams;
                 state.holdings = holdings;
-                state.repoints = repoints;
                 state.generation = state.generation.max(generation);
             }
             WalRecord::Epoch { generation } => {
                 state.generation = state.generation.max(generation);
-            }
-            WalRecord::StreamExpired { client, filter } => {
-                state
-                    .streams
-                    .retain(|s| !(s.client == client && s.filter == filter));
             }
         }
     }
@@ -958,7 +917,6 @@ mod tests {
                 WalRecord::RelocationCommit {
                     client: ClientId::new(1),
                     filter: filter(),
-                    towards: NodeId(7),
                 },
                 WalRecord::ReplayAck {
                     client: ClientId::new(1),
@@ -982,7 +940,6 @@ mod tests {
                         filter: filter(),
                         last_seq: 9,
                     }],
-                    repoints: vec![(filter(), NodeId(4))],
                     generation: 3,
                 },
                 WalRecord::Epoch { generation: 2 },
@@ -1014,7 +971,6 @@ mod tests {
         log.append(&WalRecord::RelocationCommit {
             client: ClientId::new(1),
             filter: filter(),
-            towards: NodeId(7),
         });
         log.append(&WalRecord::ReplayAck {
             client: ClientId::new(1),
@@ -1025,7 +981,45 @@ mod tests {
         assert_eq!(state.records_read, 6);
         assert!(state.streams.is_empty());
         assert!(state.holdings.is_empty());
-        assert_eq!(state.repoints, vec![(filter(), NodeId(7))]);
+    }
+
+    /// The layouts written while the log still carried routing state: a
+    /// trailing `towards` node on `RelocationCommit`, and a re-point list
+    /// between the holdings and the generation of `Checkpoint`.  Recovery
+    /// refuses either as corrupt and keeps the valid prefix, instead of
+    /// misreading it (which would drop the stream the commit names, or
+    /// take re-point bytes for a generation).
+    #[test]
+    fn recovery_refuses_the_layouts_that_carried_routing_state() {
+        let mut commit = Vec::new();
+        put_u8(&mut commit, TAG_RELOCATION_COMMIT);
+        put_u32(&mut commit, 1);
+        put_filter(&mut commit, &filter());
+        put_node(&mut commit, NodeId(7));
+        let mut checkpoint = Vec::new();
+        put_u8(&mut checkpoint, TAG_CHECKPOINT);
+        put_u32(&mut checkpoint, 0); // streams
+        put_u32(&mut checkpoint, 0); // holdings
+        put_u32(&mut checkpoint, 1); // re-points
+        put_filter(&mut checkpoint, &filter());
+        put_node(&mut checkpoint, NodeId(4));
+        put_u64(&mut checkpoint, 3); // generation
+        for payload in [commit, checkpoint] {
+            assert!(WalRecord::decode_payload(&payload).is_err());
+            let backend = MemoryBackend::new();
+            let mut log = HandoffLog::with_backend(Box::new(backend.clone()));
+            log.append(&sample_records()[0]);
+            let mut bytes = backend.bytes();
+            put_u32(&mut bytes, payload.len() as u32);
+            put_u32(&mut bytes, crc32(&payload));
+            bytes.extend_from_slice(&payload);
+            backend.corrupt_with(bytes);
+            let state = log.recover();
+            assert!(state.truncated);
+            assert_eq!(state.records_read, 1);
+            assert_eq!(state.streams.len(), 1, "the stream is not dropped");
+            assert_eq!(state.generation, 0);
+        }
     }
 
     #[test]
@@ -1062,10 +1056,6 @@ mod tests {
         let state = log.recover();
         assert!(!state.truncated);
         assert!(state.streams.is_empty(), "expired stream is gone");
-        assert!(
-            state.repoints.is_empty(),
-            "expiry re-points nothing (unlike a commit)"
-        );
         assert_eq!(state.holdings.len(), 1, "holdings are untouched");
     }
 
@@ -1078,12 +1068,7 @@ mod tests {
         }
         assert!(log.wants_checkpoint());
         let before = log.recover();
-        log.compact(
-            before.streams.clone(),
-            before.holdings.clone(),
-            before.repoints.clone(),
-            1,
-        );
+        log.compact(before.streams.clone(), before.holdings.clone(), 1);
         assert!(!log.wants_checkpoint());
         let after = log.recover();
         assert_eq!(after.streams, before.streams);

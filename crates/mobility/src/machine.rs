@@ -53,9 +53,9 @@
 //! retracts it like any forwarded subscription.  The old border broker
 //! sends its `Replay`, then retracts the departed client's subscription
 //! with an ordinary unsubscription, whose `Unsubscribe`s tear the old path
-//! down FIFO behind the replay (an expired lease does the same).  Commit
-//! re-points are journaled and re-installed on recovery, until a restarted
-//! broker can re-learn its entries from its neighbours.
+//! down FIFO behind the replay (an expired lease does the same).  None of
+//! this is journaled: routing state is soft state, and a restarted broker
+//! re-learns it from its neighbours (`Message::Resync`).
 
 use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
 
@@ -142,11 +142,6 @@ pub struct RelocationMachine {
     /// relocation first, so the map stays empty across settled relocations.
     timeout_tags: BTreeMap<u64, StreamKey>,
     next_timeout_tag: u64,
-    /// Routing re-points of committed relocations, kept so checkpoints can
-    /// carry them (recovery must re-install them; see
-    /// [`WalRecord::RelocationCommit`]).  Deduplicated, so growth is
-    /// bounded by distinct `(filter, link)` pairs, not by relocation count.
-    repoints: BTreeSet<(Filter, NodeId)>,
     /// Restart generation: timeout tags are numbered from
     /// `generation << 32`, so timers armed by a previous (crashed)
     /// incarnation — which survive in the simulator's event queue and
@@ -172,7 +167,6 @@ impl RelocationMachine {
             replay_routes: ReplayRoutes::default(),
             timeout_tags: BTreeMap::new(),
             next_timeout_tag: 0,
-            repoints: BTreeSet::new(),
             generation: 0,
             relocation_timeout,
             leases_expired: 0,
@@ -198,12 +192,15 @@ impl RelocationMachine {
         self.scoped_flood = enabled;
     }
 
-    /// Reconstructs a machine (and the mobility-relevant parts of the
-    /// static broker: disconnected client records, their routing entries and
+    /// Reconstructs a machine (and the consumer-side parts of the static
+    /// broker: its recovered clients' records, their subscriptions and
     /// sequence watermarks) from the write-ahead log, as a restarted broker
-    /// does.  Returns the machine plus the timer tags of recovered holdings,
-    /// which the host must re-arm with [`RelocationMachine::timeout`]
-    /// externally (a restarted node has no live timer context).
+    /// does.  The log holds no routing state: the restarted broker
+    /// re-learns its other routes from its neighbours' held tables
+    /// (`Message::Resync`).  Returns the machine plus the timer tags of
+    /// recovered holdings, which the host must re-arm with
+    /// [`RelocationMachine::timeout`] externally (a restarted node has no
+    /// live timer context).
     pub fn recover(
         relocation_timeout: SimDuration,
         log: HandoffLog,
@@ -248,15 +245,6 @@ impl RelocationMachine {
                     opened_at: snap.opened_at,
                 },
             );
-        }
-
-        // Re-point delivery paths of relocations that committed before the
-        // crash, so post-commit traffic keeps flowing to the new location
-        // (kept in the machine as well, so later checkpoints keep carrying
-        // them).
-        for (filter, towards) in recovered.repoints {
-            core.route_towards(filter.clone(), towards);
-            machine.repoints.insert((filter, towards));
         }
 
         let mut tags = Vec::new();
@@ -537,9 +525,7 @@ impl RelocationMachine {
             self.log.append(&WalRecord::RelocationCommit {
                 client,
                 filter: filter.clone(),
-                towards: from,
             });
-            self.repoints.insert((filter.clone(), from));
             let replay = buffer.replay_after(last_seq);
             let next_seq = replay
                 .iter()
@@ -775,9 +761,7 @@ impl RelocationMachine {
         self.log.append(&WalRecord::RelocationCommit {
             client,
             filter: filter.clone(),
-            towards,
         });
-        self.repoints.insert((filter.clone(), towards));
         let buffer = self
             .counterparts
             .remove(&(client, filter.clone()))
@@ -991,9 +975,7 @@ impl RelocationMachine {
     fn maybe_checkpoint(&mut self) {
         if self.log.wants_checkpoint() {
             let (streams, holdings) = self.snapshot();
-            let repoints: Vec<(Filter, NodeId)> = self.repoints.iter().cloned().collect();
-            self.log
-                .compact(streams, holdings, repoints, self.generation);
+            self.log.compact(streams, holdings, self.generation);
         }
     }
 }
@@ -1353,15 +1335,14 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_carry_commit_repoints_and_recovery_bumps_the_generation() {
+    fn recovery_after_a_checkpoint_bumps_the_generation() {
         let backend = crate::log::MemoryBackend::new();
         let mut core1 = core();
         let mut m = RelocationMachine::new(
             SimDuration::from_secs(10),
             HandoffLog::with_backend(Box::new(backend.clone())).checkpoint_every(2),
         );
-        // A full relocation commits at this (old border) broker and
-        // re-points the delivery path towards link 10.
+        // A full relocation commits at this (old border) broker.
         core1.handle_attach(ClientId::new(1), NodeId(100));
         core1.handle_subscribe(ClientId::new(1), filter(), NodeId(100));
         core1.handle_detach(ClientId::new(1));
@@ -1389,21 +1370,17 @@ mod tests {
             "compaction must have collapsed the history (read {} records)",
             recovered_raw.records_read
         );
-        assert!(
-            recovered_raw.repoints.contains(&(filter(), NodeId(10))),
-            "the checkpoint must carry the commit re-point, got {:?}",
-            recovered_raw.repoints
-        );
 
-        // First restart: the re-point is re-installed and the generation
-        // moves past the crashed incarnation's tag range.
+        // First restart: the generation moves past the crashed
+        // incarnation's tag range.  The log carries no routing state, so
+        // the commit's re-point is not re-installed: the neighbours hold it.
         let mut core2 = core();
         let (m2, _) = RelocationMachine::recover(
             SimDuration::from_secs(10),
             HandoffLog::with_backend(Box::new(backend.clone())).checkpoint_every(2),
             &mut core2,
         );
-        assert!(core2
+        assert!(!core2
             .engine()
             .table()
             .contains_entry(&filter(), &NodeId(10)));

@@ -112,6 +112,7 @@ const MSG_LOCATION_UPDATE: u8 = 19;
 const MSG_SUBSCRIBE_SINCE: u8 = 20;
 const MSG_HISTORY_FETCH: u8 = 21;
 const MSG_HISTORY_REPLAY: u8 = 22;
+const MSG_RESYNC: u8 = 23;
 
 /// A decoding failure of the wire format.  Every malformed input maps to
 /// one of these variants; decoding never panics.
@@ -785,6 +786,14 @@ pub fn put_message(buf: &mut Vec<u8>, message: &Message) {
                 put_envelope(buf, envelope);
             }
         }
+        Message::Resync { filters, answer } => {
+            put_u8(buf, MSG_RESYNC);
+            put_u32(buf, filters.len() as u32);
+            for filter in filters {
+                put_filter(buf, filter);
+            }
+            put_u8(buf, u8::from(*answer));
+        }
     }
 }
 
@@ -891,6 +900,12 @@ pub fn read_message(r: &mut ByteReader<'_>) -> Result<Message, DecodeError> {
                 filter,
                 entries,
             }
+        }
+        MSG_RESYNC => {
+            let n = r.u32()?;
+            let filters = (0..n).map(|_| r.filter()).collect::<Result<_, _>>()?;
+            let answer = r.u8()? != 0;
+            Message::Resync { filters, answer }
         }
         _ => return Err(DecodeError),
     })

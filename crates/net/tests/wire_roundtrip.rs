@@ -212,6 +212,8 @@ fn message() -> BoxedStrategy<Message> {
                 hop,
             }
         }),
+        (proptest::collection::vec(filter(), 0..4), any::<bool>())
+            .prop_map(|(filters, answer)| Message::Resync { filters, answer }),
     ]
     .boxed()
 }

@@ -35,6 +35,8 @@
 //!   to `h` from destinations other than `n`.  Before the `Unsubscribe(h)`,
 //!   offer `n` again the propagating entries `h` served and that no other
 //!   held filter serves; on a FIFO link that leaves no delivery gap.
+//! - **Resync with `n`** (after a restart): forget `held(n)`, then offer
+//!   `n` every propagating entry from another destination.
 //!
 //! So a neighbour never keeps a filter nobody behind this broker needs,
 //! whatever the strategy.  An unsubscription whose identical twin remains
@@ -303,6 +305,22 @@ impl<D: Ord + Clone> RoutingEngine<D> {
             }
         }
         effect
+    }
+
+    /// Forgets what the neighbour `n` holds and offers it again every
+    /// propagating entry from another destination: the filters `n` is to
+    /// hold from this broker after a resynchronisation.
+    pub fn resync(&mut self, n: &D) -> Vec<Filter> {
+        self.held.remove_destination(n);
+        let mut sent = Vec::new();
+        if self.kind != RoutingStrategyKind::Flooding {
+            for (d, e) in self.table.propagating() {
+                if d != *n {
+                    self.offer(&e, n, &mut sent);
+                }
+            }
+        }
+        sent.into_iter().map(|(_, f)| f).collect()
     }
 
     /// Routes `filter` towards `towards` as a subscription arriving from

@@ -383,6 +383,24 @@ impl<D: Ord + Clone> RoutingTable<D> {
             .flat_map(move |(d, ids)| ids.iter().map(move |&id| (d, self.filter_of(id))))
     }
 
+    /// The propagating entries as `(destination, filter)`, in (destination,
+    /// insertion) order: per filter and destination, silent copies skipped.
+    pub fn propagating(&self) -> Vec<(D, Filter)> {
+        let mut silent: BTreeMap<(&D, u64), u32> = BTreeMap::new();
+        let mut out = Vec::new();
+        for (dest, ids) in &self.dests {
+            for id in ids {
+                let sgid = self.entries[id].1;
+                let sub = &self.subgroups[&sgid];
+                match silent.entry((dest, sgid)).or_insert(sub.dests[dest].1) {
+                    0 => out.push((dest.clone(), sub.filter.clone())),
+                    left => *left -= 1,
+                }
+            }
+        }
+        out
+    }
+
     /// Total number of `(filter, destination)` entries.
     pub fn len(&self) -> usize {
         self.entries.len()
